@@ -214,32 +214,6 @@ double chase_lev_steal_ops_per_sec() {
   return static_cast<double>(kQueuePairs) / best;
 }
 
-/// The batched steal path the WS scheduler actually takes
-/// (ChaseLevDeque::steal_some, up to half the deque, capped at 8): one
-/// fence+CAS amortized over the batch. Items per second, to compare
-/// against the single-item cells above.
-constexpr std::size_t kStealBatch = 8;
-
-double chase_lev_steal_batch_ops_per_sec() {
-  sched::ChaseLevDeque<Job*> dq;
-  double best = 1e300;
-  for (int rep = 0; rep < kQueueReps; ++rep) {
-    for (std::size_t i = 0; i < kQueuePairs; ++i)
-      dq.push_bottom(fake_job(i));
-    const double t0 = now_s();
-    Job* out[kStealBatch];
-    std::size_t drained = 0;
-    while (drained < kQueuePairs) {
-      const std::size_t got = dq.steal_some(out, kStealBatch);
-      benchmark::DoNotOptimize(out[0]);
-      if (got == 0) break;
-      drained += got;
-    }
-    best = std::min(best, now_s() - t0);
-  }
-  return static_cast<double>(kQueuePairs) / best;
-}
-
 /// Contended steal: the owner keeps pushing while `kThieves` thieves drain
 /// concurrently — the cache-line ping-pong regime the uncontended cells
 /// deliberately avoid. Returns items consumed per second across all
@@ -286,8 +260,8 @@ double chase_lev_contended_steal_items_per_sec() {
   sched::ChaseLevDeque<Job*> dq;
   return contended_steal_items_per_sec(
       [&dq](Job* j) { dq.push_bottom(j); }, [&dq]() -> std::uint64_t {
-        Job* out[kStealBatch];
-        return dq.steal_some(out, kStealBatch);
+        Job* out = nullptr;
+        return dq.steal_top(&out) ? 1 : 0;
       });
 }
 
@@ -462,7 +436,6 @@ void write_bench_cells() {
   const double cl_ag = chase_lev_add_get_ops_per_sec();
   const double locked_st = locked_steal_ops_per_sec();
   const double cl_st = chase_lev_steal_ops_per_sec();
-  const double cl_st_batch = chase_lev_steal_batch_ops_per_sec();
   const double locked_cont = locked_contended_steal_items_per_sec();
   const double cl_cont = chase_lev_contended_steal_items_per_sec();
   const double heap_alloc = job_alloc_ops_per_sec(nullptr);
@@ -493,7 +466,7 @@ void write_bench_cells() {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "micro_overheads");
-  w.kv("schema_version", 4);
+  w.kv("schema_version", 5);
   w.key("recorder_overhead").begin_object();
   w.kv("machine", "mini");
   w.kv("workload", "fork_tree(11) under WS, best of 5");
@@ -513,13 +486,11 @@ void write_bench_cells() {
   w.key("deque_steal").begin_object();
   w.kv("workload", "single thief drains prefilled deque, best of 5");
   w.kv("locked_deque_ops_per_sec", locked_st);
-  w.kv("chase_lev_single_ops_per_sec", cl_st);
-  w.kv("chase_lev_batch8_ops_per_sec", cl_st_batch);
-  // Headline speedup is the batched path — the one WS::get() actually
-  // takes on a steal; the single-item CAS is kept for reference (its
-  // fence+CAS per item loses to an uncontended spinlock by design).
-  w.kv("speedup", cl_st_batch / locked_st);
-  w.kv("single_speedup", cl_st / locked_st);
+  w.kv("chase_lev_ops_per_sec", cl_st);
+  // steal_top is the path WS::get() takes. Uncontended, its fence+CAS per
+  // item loses to a spinlock by design; the contended cell below is where
+  // the lock-free deque pays.
+  w.kv("speedup", cl_st / locked_st);
   w.end_object();
   w.key("deque_steal_contended").begin_object();
   w.kv("workload", "owner pushes 1M while 3 thieves drain, items/s");
@@ -595,10 +566,8 @@ void write_bench_cells() {
   std::printf("deque add+get: locked %.1fM ops/s, chase-lev %.1fM ops/s (%.2fx)\n",
               locked_ag / 1e6, cl_ag / 1e6, cl_ag / locked_ag);
   std::printf(
-      "deque steal:   locked %.1fM ops/s, chase-lev single %.1fM, "
-      "batch8 %.1fM ops/s (%.2fx)\n",
-      locked_st / 1e6, cl_st / 1e6, cl_st_batch / 1e6,
-      cl_st_batch / locked_st);
+      "deque steal:   locked %.1fM ops/s, chase-lev %.1fM ops/s (%.2fx)\n",
+      locked_st / 1e6, cl_st / 1e6, cl_st / locked_st);
   std::printf(
       "contended steal: locked %.1fM items/s, chase-lev %.1fM items/s "
       "(%.2fx)\n",

@@ -6,7 +6,6 @@
 // invalidate the owner's push/pop line.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -90,46 +89,6 @@ class ChaseLevDeque {
     }
     *out = item;
     return true;
-  }
-
-  /// Any thread. Steal up to `max_n` items from the top with one CAS,
-  /// amortizing the thief's fence+CAS cost across the batch. Returns the
-  /// number of items written to `out` (0 on empty or lost race).
-  ///
-  /// Soundness: the items are copied out *before* the CAS claims
-  /// [t, t+n) — a concurrent owner push can only overwrite ring slots once
-  /// they are outside [top, bottom), which claimed-but-unread slots would
-  /// be. A concurrent owner pop_bottom may free-take a slot inside our
-  /// claim when its seq-cst fence ordered before our CAS (it read the
-  /// stale top). Every such pop decrements bottom_ before its fence, so
-  /// after our own post-CAS fence a re-read of bottom_ observes all of
-  /// them; we deliver only the min(n, bottom-t) lowest claimed slots and
-  /// discard the rest as owner-consumed. Pops whose fence ordered after
-  /// our CAS see top == t+n and never touch slots below it. Hence every
-  /// slot is consumed by exactly one party.
-  std::size_t steal_some(T* out, std::size_t max_n) {
-    count_op();
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    seq_cst_fence();
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return 0;
-    const std::int64_t n =
-        std::min<std::int64_t>(static_cast<std::int64_t>(max_n), b - t);
-    // Acquire pairs with grow()'s release store: the ring we read from
-    // is at least as new as the bottom_ we observed. Seq-cst CAS totals
-    // the claim against owner pops' fences (protocol in the doc block).
-    Ring* ring = buffer_.load(std::memory_order_acquire);
-    for (std::int64_t i = 0; i < n; ++i) out[i] = ring->get(t + i);
-    if (!top_.compare_exchange_strong(t, t + n, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return 0;
-    }
-    seq_cst_fence();
-    // Relaxed re-read: the fence above orders it after our CAS, so every
-    // owner pop whose fence preceded the CAS is reflected in b2.
-    const std::int64_t b2 = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t kept = std::min(n, b2 - t);
-    return kept > 0 ? static_cast<std::size_t>(kept) : 0;
   }
 
   bool empty() const {

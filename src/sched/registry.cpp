@@ -16,12 +16,12 @@ std::unique_ptr<runtime::Scheduler> MakeScheduler(const SchedulerSpec& spec) {
   if (spec.name == "SB") {
     SpaceBounded::Options opts = spec.sb;
     opts.distributed_top = false;
-    return std::make_unique<SpaceBounded>(opts, spec.seed);
+    return std::make_unique<SpaceBounded>(opts);
   }
   if (spec.name == "SB-D") {
     SpaceBounded::Options opts = spec.sb;
     opts.distributed_top = true;
-    return std::make_unique<SpaceBounded>(opts, spec.seed);
+    return std::make_unique<SpaceBounded>(opts);
   }
   SBS_CHECK_MSG(false, ("unknown scheduler: " + spec.name).c_str());
   return nullptr;

@@ -12,6 +12,8 @@ namespace sbs::sched {
 
 struct SchedulerSpec {
   std::string name;  ///< "WS", "PWS", "CilkWS", "SB", "SB-D"
+  /// Victim-selection seed of the work-stealing schedulers; SB and SB-D
+  /// draw no random numbers and ignore it.
   std::uint64_t seed = 1;
   /// Space-bounded knobs (ignored by work-stealing schedulers).
   SpaceBounded::Options sb;

@@ -14,8 +14,7 @@ using runtime::Task;
 
 SpaceBounded::SpaceBounded() : SpaceBounded(Options()) {}
 
-SpaceBounded::SpaceBounded(Options options, std::uint64_t seed)
-    : options_(options), seed_(seed) {
+SpaceBounded::SpaceBounded(Options options) : options_(options) {
   SBS_CHECK_MSG(options_.sigma > 0 && options_.sigma <= 1.0,
                 "dilation sigma must be in (0,1]");
   SBS_CHECK_MSG(options_.mu > 0 && options_.mu <= 1.0,
@@ -48,11 +47,49 @@ void SpaceBounded::start(const machine::Topology& topo, int num_threads) {
   threads_.reserve(static_cast<std::size_t>(num_threads));
   for (int t = 0; t < num_threads; ++t) {
     threads_.push_back(std::make_unique<PerThread>());
-    threads_.back()->rng = Rng(seed_ * 0x5bd1 + static_cast<std::uint64_t>(t));
+    threads_.back()->path = probe_path(t);
   }
 
   anchors_at_depth_ = std::vector<std::atomic<std::uint64_t>>(
       static_cast<std::size_t>(depths));
+}
+
+std::vector<SpaceBounded::ProbeStep> SpaceBounded::probe_path(int thread_id) {
+  // get()'s poll order, fixed by the topology: the innermost cache
+  // outwards; at each node the local queue, then the buckets heaviest
+  // (closest to this cache's level) first.
+  std::vector<ProbeStep> path;
+  const int max_depth = topo_->num_cache_levels();
+  SBS_CHECK(max_depth <= 0xff);
+  for (int id = topo_->node(topo_->leaf_of_thread(thread_id)).parent;
+       id != -1; id = topo_->node(id).parent) {
+    NodeState& node = *nodes_[static_cast<std::size_t>(id)];
+    const int depth = topo_->node(id).depth;
+    path.push_back({&node.local, nullptr, id, 0, 0, ProbeStep::kLocal});
+    for (int b = depth + 1; b <= max_depth; ++b) {
+      const auto bucket = static_cast<std::uint8_t>(b);
+      if (!is_top_bucket(id, b)) {
+        JobQueue* q = &node.buckets[static_cast<std::size_t>(b)];
+        path.push_back({q, q, id, 0, bucket, ProbeStep::kBucket});
+        continue;
+      }
+      // SB-D top bucket: own child queue first, then the siblings in ring
+      // order (WS-style). A failed admission returns the task to the own
+      // queue and skips the rest of the bucket.
+      const int own = topo_->cache_of_thread(thread_id, depth + 1) -
+                      topo_->node(id).first_child;
+      const int nq = static_cast<int>(node.child_top.size());
+      SBS_CHECK(nq <= 0xffff);
+      JobQueue* own_q = &node.child_top[static_cast<std::size_t>(own)];
+      for (int k = 0; k < nq; ++k) {
+        path.push_back(
+            {&node.child_top[static_cast<std::size_t>((own + k) % nq)], own_q,
+             id, static_cast<std::uint16_t>(nq - 1 - k), bucket,
+             k == 0 ? ProbeStep::kBucket : ProbeStep::kSibling});
+      }
+    }
+  }
+  return path;
 }
 
 void SpaceBounded::finish() {
@@ -306,63 +343,46 @@ bool SpaceBounded::try_anchor(Job* job, int x_node, int b, int thread_id) {
 
 Job* SpaceBounded::get(int thread_id) {
   PerThread& self = *threads_[static_cast<std::size_t>(thread_id)];
-  const int leaf = topo_->leaf_of_thread(thread_id);
-  const int max_depth = topo_->num_cache_levels();
+  const std::vector<ProbeStep>& path = self.path;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const ProbeStep& step = path[i];
+    // The lock-free maybe_empty() probe keeps the (overwhelmingly common)
+    // empty scan entirely outside any critical section; only queues that
+    // look non-empty pay for a lock round-trip.
+    if (step.queue->maybe_empty()) continue;
 
-  for (int id = topo_->node(leaf).parent; id != -1;
-       id = topo_->node(id).parent) {
-    NodeState& node = *nodes_[static_cast<std::size_t>(id)];
-    const int depth = topo_->node(id).depth;
-
-    // 1) Local strands / non-maximal tasks anchored at this cache. The
-    // lock-free maybe_empty() probe keeps the (overwhelmingly common) empty
-    // scan entirely outside any critical section; only queues that look
-    // non-empty pay for a lock round-trip.
-    if (!node.local.maybe_empty()) {
-      if (Job* job = node.local.pop_back(); job != nullptr) {
+    if (step.kind == ProbeStep::kLocal) {
+      // Local strands / non-maximal tasks anchored at this cache.
+      if (Job* job = step.queue->pop_back(); job != nullptr) {
         charge_strand(job, thread_id);
         return job;
       }
+      continue;
     }
 
-    // 2) Buckets, heaviest (closest to this cache's level) first.
-    for (int b = depth + 1; b <= max_depth; ++b) {
-      Job* candidate = nullptr;
-      if (is_top_bucket(id, b)) {
-        // Own child queue first, then siblings (WS-style). Own pops LIFO
-        // (depth-first locality); sibling queues are stolen FIFO like a WS
-        // thief. Per-child-queue locks make a steal contend only with the
-        // one queue it touches, not with the whole node.
-        const int own = topo_->cache_of_thread(thread_id, depth + 1) -
-                        topo_->node(id).first_child;
-        const int nq = static_cast<int>(node.child_top.size());
-        for (int k = 0; k < nq && candidate == nullptr; ++k) {
-          auto& q = node.child_top[static_cast<std::size_t>((own + k) % nq)];
-          if (q.maybe_empty()) continue;
-          candidate = k == 0 ? q.pop_back() : q.pop_front();
-          if (candidate != nullptr && k != 0) ++self.sibling_pops;
-        }
-      } else {
-        auto& bucket = node.buckets[static_cast<std::size_t>(b)];
-        if (!bucket.maybe_empty()) candidate = bucket.pop_back();
-      }
-      if (candidate == nullptr) continue;
-      if (try_anchor(candidate, id, b, thread_id)) {
-        charge_strand(candidate, thread_id);
-        return candidate;
-      }
-      // Bounded property would be violated: put the task back and move on.
-      ++self.admission_failures;
-      trace::emit(thread_id, trace::EventKind::kAdmissionFail,
-                  static_cast<std::uint64_t>(b), static_cast<std::uint64_t>(id));
-      if (is_top_bucket(id, b)) {
-        const int own = topo_->cache_of_thread(thread_id, depth + 1) -
-                        topo_->node(id).first_child;
-        node.child_top[static_cast<std::size_t>(own)].push_front(candidate);
-      } else {
-        node.buckets[static_cast<std::size_t>(b)].push_front(candidate);
-      }
+    // A bucket: own queues pop LIFO (depth-first locality); SB-D sibling
+    // child queues are stolen FIFO like a WS thief. Per-queue locks make a
+    // steal contend only with the one queue it touches.
+    Job* candidate = nullptr;
+    if (step.kind == ProbeStep::kSibling) {
+      candidate = step.queue->pop_front();
+      if (candidate != nullptr) ++self.sibling_pops;
+    } else {
+      candidate = step.queue->pop_back();
     }
+    if (candidate == nullptr) continue;
+    if (try_anchor(candidate, step.node, step.bucket, thread_id)) {
+      charge_strand(candidate, thread_id);
+      return candidate;
+    }
+    // Bounded property would be violated: put the task back and move on to
+    // the next bucket.
+    ++self.admission_failures;
+    trace::emit(thread_id, trace::EventKind::kAdmissionFail,
+                static_cast<std::uint64_t>(step.bucket),
+                static_cast<std::uint64_t>(step.node));
+    step.requeue->push_front(candidate);
+    i += step.skip;
   }
   return nullptr;
 }

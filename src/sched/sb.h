@@ -36,7 +36,6 @@
 
 #include "runtime/scheduler.h"
 #include "sched/ops.h"
-#include "util/rng.h"
 
 namespace sbs::sched {
 
@@ -67,7 +66,7 @@ class SpaceBounded : public runtime::Scheduler {
   };
 
   SpaceBounded();  // default options
-  explicit SpaceBounded(Options options, std::uint64_t seed = 1);
+  explicit SpaceBounded(Options options);
 
   void start(const machine::Topology& topo, int num_threads) override;
   void finish() override;
@@ -178,10 +177,30 @@ class SpaceBounded : public runtime::Scheduler {
           child_top(static_cast<std::size_t>(num_children)) {}
   };
 
+  /// One queue on a thread's probe path, in the order get() polls it.
+  struct ProbeStep {
+    enum Kind : std::uint8_t {
+      kLocal,    ///< a node's local queue: strands, non-maximal tasks
+      kBucket,   ///< popped LIFO: a bucket, or SB-D's own child queue
+      kSibling,  ///< SB-D: a sibling child queue, stolen FIFO
+    };
+    JobQueue* queue;
+    /// Where a task that fails admission goes back (to the front): the
+    /// bucket itself, or for SB-D top buckets the thread's own child queue.
+    JobQueue* requeue;
+    int node;             ///< cache node owning the queue
+    std::uint16_t skip;   ///< steps left in this SB-D top bucket
+    std::uint8_t bucket;  ///< befitting depth b (kLocal: unused)
+    Kind kind;
+  };
+
   struct alignas(64) PerThread {
     /// (node id, amount) strand-occupancy charges of the running strand.
     std::vector<std::pair<int, std::uint64_t>> strand_charges;
-    Rng rng{0};
+    /// Every queue get() may take from, built once in start(): from the
+    /// innermost cache outwards, each node's local queue, then its buckets
+    /// heaviest-first (SB-D: own child queue, then siblings in ring order).
+    std::vector<ProbeStep> path;
     std::uint64_t anchors = 0;
     std::uint64_t admission_failures = 0;
     std::uint64_t sibling_pops = 0;  ///< SB-D cross-child-queue pops
@@ -207,9 +226,10 @@ class SpaceBounded : public runtime::Scheduler {
   /// Attempt to admit+anchor a maximal task popped from node X, bucket b.
   bool try_anchor(runtime::Job* job, int x_node, int b, int thread_id);
   bool is_top_bucket(int x_node, int b) const;
+  /// Build `thread_id`'s probe path (PerThread::path).
+  std::vector<ProbeStep> probe_path(int thread_id);
 
   Options options_;
-  std::uint64_t seed_;
   const machine::Topology* topo_ = nullptr;
   int num_threads_ = 0;
   std::vector<std::unique_ptr<NodeState>> nodes_;

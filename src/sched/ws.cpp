@@ -54,20 +54,7 @@ Job* WorkStealing::get(int thread_id) {
   trace::emit(thread_id, trace::EventKind::kStealAttempt,
               static_cast<std::uint64_t>(choice));
   PerThread& victim = *threads_[static_cast<std::size_t>(choice)];
-  if (steal_batch_ > 1) {
-    Job* batch[kMaxStealBatch];
-    const std::size_t got = victim.jobs.steal_some(
-        batch, static_cast<std::size_t>(steal_batch_));
-    if (got > 0) {
-      ++self.steals;
-      trace::emit(thread_id, trace::EventKind::kStealSuccess,
-                  static_cast<std::uint64_t>(choice));
-      // Keep the oldest job (the one steal_top would have taken); the rest
-      // go to the bottom of our own deque, oldest-first.
-      for (std::size_t i = 1; i < got; ++i) self.jobs.push_bottom(batch[i]);
-      return batch[0];
-    }
-  } else if (victim.jobs.steal_top(&job)) {
+  if (victim.jobs.steal_top(&job)) {
     ++self.steals;
     trace::emit(thread_id, trace::EventKind::kStealSuccess,
                 static_cast<std::uint64_t>(choice));

@@ -32,14 +32,7 @@ namespace sbs::sched {
 class WorkStealing : public runtime::Scheduler {
  public:
   /// seed controls victim selection (deterministic experiments).
-  /// steal_batch > 1 steals up to that many jobs per successful attempt
-  /// (ChaseLevDeque::steal_some); the extras land in the thief's own deque.
-  /// The default of 1 is the paper's WS — batching is an opt-in for
-  /// steal-bound workloads (measured in bench/micro_overheads).
-  explicit WorkStealing(std::uint64_t seed = 1, int steal_batch = 1)
-      : seed_(seed), steal_batch_(steal_batch) {
-    SBS_CHECK(steal_batch_ >= 1 && steal_batch_ <= kMaxStealBatch);
-  }
+  explicit WorkStealing(std::uint64_t seed = 1) : seed_(seed) {}
 
   void start(const machine::Topology& topo, int num_threads) override;
   void finish() override;
@@ -69,11 +62,8 @@ class WorkStealing : public runtime::Scheduler {
   const machine::Topology* topo_ = nullptr;
   std::vector<std::unique_ptr<PerThread>> threads_;
 
-  static constexpr int kMaxStealBatch = 16;
-
  private:
   std::uint64_t seed_;
-  int steal_batch_ = 1;
 };
 
 }  // namespace sbs::sched

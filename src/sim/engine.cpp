@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <optional>
 
@@ -156,22 +155,6 @@ std::uint64_t SimEngine::charge_ops(std::uint64_t ops_before) const {
          topo_.config().sched_op_cycles;
 }
 
-void SimEngine::heap_push(std::uint64_t clock, int tid) {
-  heap_.emplace_back(clock, tid);
-  std::push_heap(heap_.begin(), heap_.end(),
-                 std::greater<std::pair<std::uint64_t, int>>());
-}
-
-bool SimEngine::heap_pop(std::uint64_t* clock, int* tid) {
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(),
-                std::greater<std::pair<std::uint64_t, int>>());
-  *clock = heap_.back().first;
-  *tid = heap_.back().second;
-  heap_.pop_back();
-  return true;
-}
-
 void SimEngine::worker_pass(int h) {
   runtime::JobArena::Scope arena_scope(arenas_[static_cast<std::size_t>(h)].get());
   const int n_shards = static_cast<int>(shard_busy_.size());
@@ -287,11 +270,9 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     c0.clock += cy;
   }
 
-  heap_.clear();
+  events_.reset(num_threads_);
   for (int t = 0; t < num_threads_; ++t)
-    heap_.emplace_back(cores_[static_cast<std::size_t>(t)]->clock, t);
-  std::make_heap(heap_.begin(), heap_.end(),
-                 std::greater<std::pair<std::uint64_t, int>>());
+    events_.push(cores_[static_cast<std::size_t>(t)]->clock, t);
 
   const auto by_clock_tid = [](const VCore* a, const VCore* b) {
     return a->clock < b->clock || (a->clock == b->clock && a->tid < b->tid);
@@ -307,7 +288,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     for (const auto& list : shard_busy_)
       for (const VCore* c : list) busy_min_ = std::min(busy_min_, c->clock);
     std::uint64_t min_clock = busy_min_;
-    if (!heap_.empty()) min_clock = std::min(min_clock, heap_.front().first);
+    if (!events_.empty()) min_clock = std::min(min_clock, events_.min_clock());
     SBS_CHECK_MSG(min_clock != std::numeric_limits<std::uint64_t>::max(),
                   "no runnable cores, root not complete");
     horizon_ = min_clock + params_.skew_quantum;
@@ -316,8 +297,8 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     // order — all scheduler interaction is single-threaded here.
     std::uint64_t clk = 0;
     int tid = 0;
-    while (!heap_.empty() && heap_.front().first <= horizon_) {
-      heap_pop(&clk, &tid);
+    while (!events_.empty() && events_.min_clock() <= horizon_) {
+      events_.pop(&clk, &tid);
       VCore& core = *cores_[static_cast<std::size_t>(tid)];
       if (core.pending_finish) {
         core.pending_finish = false;
@@ -326,7 +307,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
           completion_clock = core.clock;
           break;
         }
-        heap_push(core.clock, tid);
+        events_.push(core.clock, tid);
         continue;
       }
 
@@ -347,8 +328,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
         // poll interval). Pure wait-time accounting — no schedulable event
         // is skipped.
         std::uint64_t second = busy_min_;
-        if (!heap_.empty())
-          second = std::min(second, heap_.front().first);
+        if (!events_.empty()) second = std::min(second, events_.min_clock());
         if (second == std::numeric_limits<std::uint64_t>::max()) second = 0;
         const std::uint64_t next = std::max(
             core.clock + cy + topo_.config().idle_poll_cycles, second);
@@ -359,7 +339,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
         core.empty_cy += next - core.clock;
         core.clock = next;
         ++core.empty_wakeups;
-        heap_push(core.clock, tid);
+        events_.push_idle(core.clock, tid);
         SBS_CHECK_MSG(++consecutive_empty <
                           (std::uint64_t{1} << 24) *
                               static_cast<std::uint64_t>(num_threads_),
@@ -403,11 +383,11 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     if (root_completed_) break;
 
     // Inline-run strands complete at the barrier, exactly like fiber-run
-    // ones. (Heap order is by value, so push order next to the fiber-path
+    // ones. (Queue order is by key, so push order next to the fiber-path
     // pushes below is immaterial.)
     for (VCore* core : inline_done_) {
       core->pending_finish = true;
-      heap_push(core->clock, core->tid);
+      events_.push(core->clock, core->tid);
     }
     inline_done_.clear();
 
@@ -443,7 +423,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
       for (VCore* core : list) {
         if (core->strand_done) {
           core->pending_finish = true;
-          heap_push(core->clock, core->tid);
+          events_.push(core->clock, core->tid);
         } else {
           list[keep++] = core;
         }

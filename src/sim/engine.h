@@ -35,7 +35,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "machine/topology.h"
@@ -44,6 +43,7 @@
 #include "runtime/run_stats.h"
 #include "runtime/scheduler.h"
 #include "sim/counters.h"
+#include "sim/event_queue.h"
 #include "sim/memory_system.h"
 #include "trace/recorder.h"
 
@@ -131,8 +131,6 @@ class SimEngine {
   /// until their clocks pass horizon_ (one window phase's share).
   void worker_pass(int h);
   void worker_loop(int h);
-  void heap_push(std::uint64_t clock, int tid);
-  bool heap_pop(std::uint64_t* clock, int* tid);
 
   const machine::Topology& topo_;
   SimParams params_;
@@ -159,13 +157,15 @@ class SimEngine {
   std::uint64_t window_merges_ = 0;
   std::uint64_t inline_strands_run_ = 0;
 
-  /// Strands the pump ran inline this window; their completions are pushed
-  /// to the heap at the barrier, exactly when the fiber path would.
+  /// Strands the pump ran inline this window; their completions are queued
+  /// at the barrier, exactly when the fiber path would.
   std::vector<VCore*> inline_done_;
 
-  /// Min-heap of (clock, thread id) over idle and pending-finish cores;
-  /// busy cores live in shard_busy_ instead.
-  std::vector<std::pair<std::uint64_t, int>> heap_;
+  /// Exact (clock, thread id) min-queue over idle and pending-finish cores
+  /// (event_queue.h): idle re-queues append to a sorted ring in O(1),
+  /// completions and the initial fill go to a small heap. Busy cores live
+  /// in shard_busy_ instead.
+  EventQueue events_;
   std::vector<std::vector<VCore*>> shard_busy_;  ///< per shard, sorted
   std::uint64_t busy_min_ = 0;  ///< min busy-core clock this window
 

@@ -37,76 +37,6 @@ TEST(ChaseLev, FifoForThief) {
   EXPECT_EQ(v, 2);
 }
 
-TEST(ChaseLev, StealSomeTakesFifoPrefix) {
-  ChaseLevDeque<int> deque;
-  for (int i = 1; i <= 6; ++i) deque.push_bottom(i);
-  int out[4] = {0, 0, 0, 0};
-  ASSERT_EQ(deque.steal_some(out, 4), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], i + 1);
-  // Owner still sees its LIFO bottom.
-  int v = 0;
-  ASSERT_TRUE(deque.pop_bottom(&v));
-  EXPECT_EQ(v, 6);
-  ASSERT_TRUE(deque.pop_bottom(&v));
-  EXPECT_EQ(v, 5);
-  EXPECT_FALSE(deque.pop_bottom(&v));
-}
-
-TEST(ChaseLev, StealSomeCapsAtAvailableAndEmptyReturnsZero) {
-  ChaseLevDeque<int> deque;
-  int out[8] = {};
-  EXPECT_EQ(deque.steal_some(out, 8), 0u);
-  deque.push_bottom(10);
-  deque.push_bottom(11);
-  ASSERT_EQ(deque.steal_some(out, 8), 2u);
-  EXPECT_EQ(out[0], 10);
-  EXPECT_EQ(out[1], 11);
-  EXPECT_EQ(deque.steal_some(out, 8), 0u);
-}
-
-TEST(ChaseLev, StealSomeEveryItemConsumedExactlyOnceUnderContention) {
-  // The batched steal path WS::get actually takes: thieves grab up to 8
-  // items per CAS while the owner keeps pushing and popping.
-  constexpr int kItems = 200000;
-  constexpr int kThieves = 3;
-  constexpr std::size_t kBatch = 8;
-  ChaseLevDeque<int> deque(8);
-  std::vector<std::atomic<int>> seen(kItems);
-  std::atomic<bool> done{false};
-  std::atomic<int> consumed{0};
-
-  auto consume = [&](int v) {
-    seen[static_cast<std::size_t>(v)].fetch_add(1, std::memory_order_relaxed);
-    consumed.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      int batch[kBatch];
-      while (!done.load(std::memory_order_acquire) ||
-             consumed.load(std::memory_order_relaxed) < kItems) {
-        const std::size_t got = deque.steal_some(batch, kBatch);
-        for (std::size_t i = 0; i < got; ++i) consume(batch[i]);
-      }
-    });
-  }
-
-  int v;
-  for (int i = 0; i < kItems; ++i) {
-    deque.push_bottom(i);
-    if ((i & 7) == 0 && deque.pop_bottom(&v)) consume(v);
-  }
-  while (deque.pop_bottom(&v)) consume(v);
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-
-  EXPECT_EQ(consumed.load(), kItems);
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
-  }
-}
-
 TEST(ChaseLev, GrowsPastInitialCapacity) {
   ChaseLevDeque<int> deque(/*initial_capacity=*/4);
   for (int i = 0; i < 1000; ++i) deque.push_bottom(i);

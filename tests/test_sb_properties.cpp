@@ -3,12 +3,15 @@
 // termination — swept across machine shapes and parameter values.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "kernels/kernel.h"
+#include "machine/config.h"
 #include "machine/topology.h"
 #include "runtime/jobs.h"
 #include "runtime/thread_pool.h"
+#include "sched/ops.h"
 #include "sched/registry.h"
 #include "sched/sb.h"
 #include "sim/engine.h"
@@ -51,7 +54,7 @@ TEST_P(SigmaMu, BoundedPropertyHoldsThroughoutRun) {
   options.sigma = sigma;
   options.mu = mu;
   options.distributed_top = distributed;
-  SpaceBounded sched(options, /*seed=*/5);
+  SpaceBounded sched(options);
 
   sim::SimEngine engine(topo);
   // Root footprint spans several cache levels of mini_deep (L3 256 KB).
@@ -129,7 +132,7 @@ TEST(SpaceBounded, HigherSigmaAnchorsFewerTasksConcurrently) {
   auto run_with_sigma = [&](double sigma) {
     SpaceBounded::Options options;
     options.sigma = sigma;
-    SpaceBounded sched(options, 3);
+    SpaceBounded sched(options);
     sim::SimEngine engine(topo);
     kernels::KernelParams params;
     params.n = 120000;
@@ -142,6 +145,75 @@ TEST(SpaceBounded, HigherSigmaAnchorsFewerTasksConcurrently) {
   // Not strictly monotone in general, but σ=1.0 should not load-balance
   // better than σ=0.5 on this memory-bound recursion.
   EXPECT_GE(run_with_sigma(1.0) * 1.05, run_with_sigma(0.5));
+}
+
+// An empty poll — by far the most common get() on a many-core machine —
+// must return nothing and charge exactly one instrumented op per queue on
+// the thread's probe path: the local queue and every bucket of each cache
+// from the innermost outwards, with SB-D's top bucket split into one queue
+// per child cache. Counted here from the topology alone.
+std::uint64_t expected_probe_ops(const Topology& topo, int thread_id,
+                                 bool distributed) {
+  const int max_depth = topo.num_cache_levels();
+  std::uint64_t n = 0;
+  for (int id = topo.node(topo.leaf_of_thread(thread_id)).parent; id != -1;
+       id = topo.node(id).parent) {
+    const int depth = topo.node(id).depth;
+    n += 1;  // local queue
+    for (int b = depth + 1; b <= max_depth; ++b) {
+      n += distributed && b == depth + 1
+               ? static_cast<std::uint64_t>(topo.node(id).num_children)
+               : 1;
+    }
+  }
+  return n;
+}
+
+class EmptyPoll
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, EmptyPoll,
+    ::testing::Combine(::testing::Values("xeon7560_s8", "huge64"),
+                       ::testing::Bool()),  // distributed (SB-D)
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_SBD" : "_SB");
+    });
+
+TEST_P(EmptyPoll, ChargesOneOpPerQueueOnThePath) {
+  const auto& [machine_name, distributed] = GetParam();
+  machine::MachineConfig cfg;
+  if (machine_name == "huge64") {
+    // Located relative to this source file (ctest runs from the build tree).
+    std::string path = __FILE__;
+    path = path.substr(0, path.find_last_of('/'));
+    cfg = machine::LoadConfigFile(path + "/../configs/huge64_4level.cfg");
+  } else {
+    cfg = Preset(machine_name);
+  }
+  const Topology topo(cfg);
+  SpaceBounded::Options options;
+  options.distributed_top = distributed;
+  SpaceBounded sched(options);
+  sched.start(topo, topo.num_threads());
+
+  std::uint64_t total = 0;
+  for (int t = 0; t < topo.num_threads(); ++t) {
+    const std::uint64_t ops0 = ops_snapshot();
+    EXPECT_EQ(sched.get(t), nullptr) << "thread " << t;
+    const std::uint64_t ops = ops_snapshot() - ops0;
+    EXPECT_EQ(ops, expected_probe_ops(topo, t, distributed)) << "thread " << t;
+    total += ops;
+  }
+  sched.finish();
+  // Spot-check the count itself on huge64 (4 cache levels, fan-outs
+  // 64/2/4/1): SB walks 1+2+3+4+5 queues; SB-D's top buckets hold
+  // 64/2/4/1 child queues, so 68+5+6+2+1.
+  if (machine_name == "huge64") {
+    EXPECT_EQ(total, static_cast<std::uint64_t>(topo.num_threads()) *
+                         (distributed ? 82u : 15u));
+  }
 }
 
 TEST(SpaceBounded, WorksOnRealThreadsToo) {

@@ -67,7 +67,7 @@ std::string run_verified(const std::string& preset, Job* root,
                          sched::SpaceBounded::Options options,
                          bool* ok = nullptr) {
   const Topology topo(Preset(preset));
-  auto checker = Wrap(std::make_unique<sched::SpaceBounded>(options, 7));
+  auto checker = Wrap(std::make_unique<sched::SpaceBounded>(options));
   sim::SimEngine engine(topo);
   engine.run(*checker, root);
   if (ok != nullptr) *ok = checker->ok();
@@ -151,7 +151,7 @@ TEST(Verify, ReportCountsChecks) {
   const Topology topo(Preset("mini"));
   auto checker =
       Wrap(std::make_unique<sched::SpaceBounded>(
-          sched::SpaceBounded::Options{}, 7));
+          sched::SpaceBounded::Options{}));
   sim::SimEngine engine(topo);
   engine.run(*checker, tree(1u << 16, 4));
   EXPECT_TRUE(checker->ok());
