@@ -10,17 +10,16 @@
 
 namespace sbs::mem {
 
-thread_local AccessSink* tl_sink = nullptr;
+constinit thread_local AccessSink* tl_sink = nullptr;
 
 namespace arena {
 namespace {
 
 constexpr std::size_t kChunk = 2ull << 20;  // 2 MB (hugepage-sized)
 // Region layout: one large host stream (kernel inputs, anything allocated
-// outside a simulated strand) followed by kStreams fixed-size transient
-// streams, one per virtual core (AccessSink::stream_id()).
+// outside a simulated strand) followed by kStreams (mem.h) fixed-size
+// transient streams, one per virtual core (AccessSink::stream_id()).
 constexpr std::size_t kHostSpan = 64ull << 30;
-constexpr int kStreams = 1024;
 constexpr std::size_t kStreamSpan = 128ull << 20;  // per-core transient span
 constexpr std::size_t kReserve =
     kHostSpan + static_cast<std::size_t>(kStreams) * kStreamSpan;

@@ -46,7 +46,10 @@ class AccessSink {
 
 /// The sink of the strand running on this (real or fiber) thread context.
 /// Null outside simulation.
-extern thread_local AccessSink* tl_sink;
+// Keep this declaration `constinit`, for the reason given at sched::tl_ops
+// (sched/ops.h): without it gcc's UBSan aborted on the first read once GNU
+// ld relaxed the TLS access. Defined in mem.cpp.
+extern constinit thread_local AccessSink* tl_sink;
 
 inline void touch(const void* addr, std::uint64_t bytes, bool write) {
   if (tl_sink != nullptr)
@@ -83,6 +86,11 @@ inline void work(std::uint64_t cycles) {
 /// engine calls reset_transient() at the start of every run so repeated
 /// runs in one process replay identical addresses.
 namespace arena {
+/// Transient streams, hence the largest virtual-core count a simulation
+/// may use: 2048, the largest shipped config (huge128/huge256). The
+/// reservation is PROT_NONE and MAP_NORESERVE, so each stream costs address
+/// space only (128 MB each, 320 GB in all with the 64 GB host stream).
+inline constexpr int kStreams = 2048;
 void* alloc(std::size_t bytes);          ///< bytes rounded up to 2 MB chunks
 void free(void* ptr, std::size_t bytes);
 std::size_t allocated_bytes();           ///< current live total (diagnostics)

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "machine/topology.h"
 #include "runtime/job.h"
@@ -47,6 +48,30 @@ class Scheduler {
 
   /// One-line diagnostic (steal counts, max occupancy, ...) for reports.
   virtual std::string stats_string() const { return ""; }
+
+  // --- Simulator idle fast-forward (sim/engine.h) ---
+  // Both hooks are called only from the simulator's single-threaded pump.
+  // A scheduler that keeps the defaults has every idle poll executed as a
+  // real get() call; wrappers keep them too, so a wrapped scheduler's
+  // callbacks all stay visible to the wrapper.
+
+  /// If get(thread_id) is certain to return nullptr and change nothing,
+  /// the exact number of instrumented ops (sched/ops.h) that call would
+  /// count; otherwise -1. Counts no ops itself.
+  virtual std::int64_t idle_poll_ops(int thread_id) const {
+    (void)thread_id;
+    return -1;
+  }
+
+  /// Register (non-null) or clear (nullptr) a log that receives the cache
+  /// node id of every queue push until it is cleared: a push can only
+  /// change idle_poll_ops() for the threads under that node. Returns true
+  /// if the scheduler implements idle_poll_ops() and the log; the default
+  /// ignores `log` and returns false.
+  virtual bool set_push_log(std::vector<int>* log) {
+    (void)log;
+    return false;
+  }
 };
 
 }  // namespace sbs::runtime

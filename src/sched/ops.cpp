@@ -2,6 +2,6 @@
 
 namespace sbs::sched {
 
-thread_local std::uint64_t tl_ops = 0;
+constinit thread_local std::uint64_t tl_ops = 0;
 
 }  // namespace sbs::sched

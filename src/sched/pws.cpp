@@ -11,6 +11,7 @@ void PriorityWorkStealing::start(const machine::Topology& topo,
   WorkStealing::start(topo, num_threads);
   socket_members_.clear();
   socket_of_thread_.assign(static_cast<std::size_t>(num_threads), 0);
+  index_in_socket_.assign(static_cast<std::size_t>(num_threads), 0);
   std::map<int, int> socket_index;  // socket node id -> dense index
   for (int t = 0; t < num_threads; ++t) {
     const int node = topo.socket_of_thread(t);
@@ -18,7 +19,10 @@ void PriorityWorkStealing::start(const machine::Topology& topo,
         socket_index.emplace(node, static_cast<int>(socket_members_.size()));
     if (inserted) socket_members_.emplace_back();
     socket_of_thread_[static_cast<std::size_t>(t)] = it->second;
-    socket_members_[static_cast<std::size_t>(it->second)].push_back(t);
+    auto& members = socket_members_[static_cast<std::size_t>(it->second)];
+    index_in_socket_[static_cast<std::size_t>(t)] =
+        static_cast<int>(members.size());
+    members.push_back(t);
   }
 }
 
@@ -42,26 +46,24 @@ int PriorityWorkStealing::steal_choice(int thread_id) {
       n_local > 0 &&
       (n_remote == 0 || self.rng.next_double() * w_total < w_local);
   if (pick_local) {
-    // Uniform among intra-socket peers, skipping the caller.
-    std::uint64_t k = self.rng.next_below(n_local);
-    for (const int t : local) {
-      if (t == thread_id) continue;
-      if (k-- == 0) return t;
-    }
-    SBS_CHECK_MSG(false, "PWS: local victim selection out of range");
+    // Uniform among intra-socket peers: the k-th member other than the
+    // caller.
+    const std::uint64_t k = self.rng.next_below(n_local);
+    const auto self_index = static_cast<std::uint64_t>(
+        index_in_socket_[static_cast<std::size_t>(thread_id)]);
+    return local[static_cast<std::size_t>(k < self_index ? k : k + 1)];
   }
   if (n_remote == 0) return -1;  // alone on the only socket
-  // Uniform among remote threads: skip over local ones.
-  std::uint64_t k = self.rng.next_below(n_remote);
-  for (int t = 0; t < num_threads_; ++t) {
-    if (socket_of_thread_[static_cast<std::size_t>(t)] ==
-        socket_of_thread_[static_cast<std::size_t>(thread_id)]) {
-      continue;
-    }
-    if (k-- == 0) return t;
+  // Uniform among remote threads: the k-th thread id outside the caller's
+  // socket. Step past each (ascending) own-socket member at or below it.
+  auto victim = static_cast<int>(self.rng.next_below(n_remote));
+  for (const int t : local) {
+    if (t > victim) break;
+    ++victim;
   }
-  SBS_CHECK_MSG(false, "PWS: remote victim selection out of range");
-  return -1;
+  SBS_CHECK_MSG(victim < num_threads_,
+                "PWS: remote victim selection out of range");
+  return victim;
 }
 
 }  // namespace sbs::sched

@@ -24,9 +24,12 @@ class PriorityWorkStealing final : public WorkStealing {
 
  private:
   double intra_weight_;
-  /// threads grouped by socket: socket_members_[s] = thread ids under s.
+  /// threads grouped by socket: socket_members_[s] = thread ids under s,
+  /// ascending.
   std::vector<std::vector<int>> socket_members_;
   std::vector<int> socket_of_thread_;
+  /// Each thread's index in its socket's member list.
+  std::vector<int> index_in_socket_;
 };
 
 }  // namespace sbs::sched

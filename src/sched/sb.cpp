@@ -141,7 +141,8 @@ void SpaceBounded::add(Job* job, int thread_id) {
   if (!job->starts_task()) {
     // Continuation strand: queue at the cluster where the task that called
     // the corresponding fork is anchored (paper §4.2).
-    nodes_[static_cast<std::size_t>(task->anchor)]->local.push_back(job);
+    push(nodes_[static_cast<std::size_t>(task->anchor)]->local, task->anchor,
+         job);
     return;
   }
 
@@ -153,7 +154,8 @@ void SpaceBounded::add(Job* job, int thread_id) {
                   "space-bounded schedulers require size-annotated tasks");
     task->maximal = false;
     task->attr = 0;
-    nodes_[static_cast<std::size_t>(topo_->root())]->local.push_back(job);
+    push(nodes_[static_cast<std::size_t>(topo_->root())]->local,
+         topo_->root(), job);
     return;
   }
 
@@ -169,7 +171,8 @@ void SpaceBounded::add(Job* job, int thread_id) {
     task->size = task_size_at(*job, parent_depth);
     task->maximal = false;
     task->attr = static_cast<std::uint64_t>(parent_depth);
-    nodes_[static_cast<std::size_t>(parent_anchor)]->local.push_back(job);
+    push(nodes_[static_cast<std::size_t>(parent_anchor)]->local, parent_anchor,
+         job);
     return;
   }
 
@@ -185,10 +188,32 @@ void SpaceBounded::add(Job* job, int thread_id) {
     const int child =
         topo_->cache_of_thread(thread_id, parent_depth + 1);
     const int ordinal = child - topo_->node(parent_anchor).first_child;
-    node.child_top[static_cast<std::size_t>(ordinal)].push_back(job);
+    push(node.child_top[static_cast<std::size_t>(ordinal)], parent_anchor,
+         job);
   } else {
-    node.buckets[static_cast<std::size_t>(b)].push_back(job);
+    push(node.buckets[static_cast<std::size_t>(b)], parent_anchor, job);
   }
+}
+
+void SpaceBounded::push(JobQueue& queue, int node, Job* job, bool front) {
+  if (front) {
+    queue.push_front(job);
+  } else {
+    queue.push_back(job);
+  }
+  if (push_log_ != nullptr) push_log_->push_back(node);
+}
+
+std::int64_t SpaceBounded::idle_poll_ops(int thread_id) const {
+  const std::vector<ProbeStep>& path =
+      threads_[static_cast<std::size_t>(thread_id)]->path;
+  for (const ProbeStep& step : path) {
+    // Relaxed: the same advisory size mirror maybe_empty() reads; the
+    // simulator calls this from the pump, the only thread that pushes.
+    if (step.queue->size.load(std::memory_order_relaxed) != 0) return -1;
+  }
+  // get() would probe every queue once (one op each) and take nothing.
+  return static_cast<std::int64_t>(path.size());
 }
 
 bool SpaceBounded::try_charge_path(int anchor_node, int ceiling_depth,
@@ -381,7 +406,7 @@ Job* SpaceBounded::get(int thread_id) {
     trace::emit(thread_id, trace::EventKind::kAdmissionFail,
                 static_cast<std::uint64_t>(step.bucket),
                 static_cast<std::uint64_t>(step.node));
-    step.requeue->push_front(candidate);
+    push(*step.requeue, step.node, candidate, /*front=*/true);
     i += step.skip;
   }
   return nullptr;

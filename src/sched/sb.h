@@ -78,6 +78,13 @@ class SpaceBounded : public runtime::Scheduler {
   }
   bool needs_size_annotations() const override { return true; }
   std::string stats_string() const override;
+  /// path.size() when every queue on the thread's probe path is empty
+  /// (get() then walks the whole path and finds nothing), else -1.
+  std::int64_t idle_poll_ops(int thread_id) const override;
+  bool set_push_log(std::vector<int>* log) override {
+    push_log_ = log;
+    return true;
+  }
 
   const Options& options() const { return options_; }
 
@@ -228,6 +235,9 @@ class SpaceBounded : public runtime::Scheduler {
   bool is_top_bucket(int x_node, int b) const;
   /// Build `thread_id`'s probe path (PerThread::path).
   std::vector<ProbeStep> probe_path(int thread_id);
+  /// Push `job` onto `queue`, a queue of cache node `node`, at its back or
+  /// front, and log the node while a push log is registered.
+  void push(JobQueue& queue, int node, runtime::Job* job, bool front = false);
 
   Options options_;
   const machine::Topology* topo_ = nullptr;
@@ -237,6 +247,9 @@ class SpaceBounded : public runtime::Scheduler {
   std::vector<std::uint64_t> capacity_;       ///< per-depth M_d (0 = inf)
   std::vector<std::uint32_t> line_;           ///< per-depth B_d
   std::vector<std::atomic<std::uint64_t>> anchors_at_depth_;
+  /// set_push_log(): only the simulator registers one, and it calls every
+  /// callback from its single pump thread; null on real threads.
+  std::vector<int>* push_log_ SBS_CONFINED(simulator pump) = nullptr;
 };
 
 }  // namespace sbs::sched

@@ -75,7 +75,16 @@ struct SimEngine::VCore final : mem::AccessSink {
   bool strand_done = false;
   bool busy = false;  ///< strand in progress (possibly suspended)
   bool pending_finish = false;  ///< strand done, done/settle/add not yet run
+  /// Has a live EventQueue entry, at `clock`; any other entry is stale.
+  bool queued = false;
   std::uint64_t strand_start_clock = 0;  ///< for the kStrand trace event
+  int leaf_pos = 0;  ///< leaf position (topology order, after the core map)
+
+  // Idle batch charged by the pump (SimEngine::try_batch): empty polls at
+  // batch_start + j * batch_period for j < batch_polls, in pump pass
+  // batch_pass (0 = no live batch).
+  std::uint64_t batch_pass = 0;
+  std::uint64_t batch_start = 0, batch_period = 0, batch_polls = 0;
 
   // Cycle breakdown (converted to seconds at the end).
   std::uint64_t active_cy = 0, add_cy = 0, done_cy = 0, get_cy = 0,
@@ -110,6 +119,11 @@ SimEngine::SimEngine(const machine::Topology& topo, SimParams params)
   num_threads_ =
       params_.num_threads < 0 ? topo.num_threads() : params_.num_threads;
   SBS_CHECK(num_threads_ >= 1 && num_threads_ <= topo.num_threads());
+  // Every core allocates mid-strand arrays from its own arena stream.
+  SBS_CHECK_MSG(num_threads_ <= mem::arena::kStreams,
+                "SimEngine: more virtual cores than arena streams");
+  wedge_limit_ =
+      (std::uint64_t{1} << 24) * static_cast<std::uint64_t>(num_threads_);
   params_.memory.cache.simd_probes = params_.simd_probes;
   params_.memory.cache.presence_filter = params_.presence_filter;
   params_.memory.cache.packed_lru = params_.packed_lru;
@@ -126,6 +140,7 @@ SimEngine::SimEngine(const machine::Topology& topo, SimParams params)
   for (int t = 0; t < num_threads_; ++t) {
     cores_.push_back(std::make_unique<VCore>(this, t));
     cores_.back()->shard = memory_->shard_of_thread(t);
+    cores_.back()->leaf_pos = topo.config().leaf_position(t);
   }
 
   pool_.reserve(static_cast<std::size_t>(host_threads_ - 1));
@@ -153,6 +168,138 @@ void SimEngine::enable_tracing(std::size_t events_per_worker) {
 std::uint64_t SimEngine::charge_ops(std::uint64_t ops_before) const {
   return (sched::ops_snapshot() - ops_before) *
          topo_.config().sched_op_cycles;
+}
+
+void SimEngine::queue_core(VCore& core, bool idle) {
+  if (idle) {
+    events_.push_idle(core.clock, core.tid);
+  } else {
+    events_.push(core.clock, core.tid);
+  }
+  core.queued = true;
+}
+
+void SimEngine::purge_stale() {
+  std::uint64_t clk = 0;
+  int tid = 0;
+  while (stale_entries_ != 0 && !events_.empty()) {
+    events_.peek(&clk, &tid);
+    const VCore& core = *cores_[static_cast<std::size_t>(tid)];
+    if (core.queued && core.clock == clk) return;
+    events_.pop(&clk, &tid);
+    --stale_entries_;
+  }
+}
+
+bool SimEngine::pop_event(std::uint64_t* clk, int* tid) {
+  if (stale_entries_ != 0) purge_stale();
+  if (events_.empty() || events_.min_clock() > horizon_) return false;
+  events_.pop(clk, tid);
+  cores_[static_cast<std::size_t>(*tid)]->queued = false;
+  return true;
+}
+
+std::uint64_t SimEngine::next_event_clock() {
+  if (stale_entries_ != 0) purge_stale();
+  std::uint64_t second = busy_min_;
+  if (!events_.empty()) second = std::min(second, events_.min_clock());
+  return second;
+}
+
+void SimEngine::count_empty(std::uint64_t polls) {
+  consecutive_empty_ += polls;
+  SBS_CHECK_MSG(consecutive_empty_ < wedge_limit_,
+                "simulation wedged: every core idle, no queued work, "
+                "root not complete (scheduler lost a job?)");
+}
+
+bool SimEngine::try_batch(VCore& core, std::uint64_t clk) {
+  const std::int64_t ops = sched_->idle_poll_ops(core.tid);
+  if (ops < 0) return false;
+  const std::uint64_t idle = topo_.config().idle_poll_cycles;
+  const std::uint64_t period =
+      static_cast<std::uint64_t>(ops) * topo_.config().sched_op_cycles + idle;
+  if (period == 0) return false;
+  // No poll of this core can bind its re-queue to `second` (the next other
+  // event) while a busy core is within idle_poll_cycles, or while a live
+  // peer batch of no longer period, or an equally quiet core queued within
+  // one period, keeps an event within one period of every poll.
+  const bool busy = busy_min_ <= clk + idle;
+  if (!busy && period < peer_period_) {
+    purge_stale();
+    if (events_.empty()) return false;
+    std::uint64_t next_clk = 0;
+    int next_tid = 0;
+    events_.peek(&next_clk, &next_tid);
+    if (next_clk > clk + period ||
+        cores_[static_cast<std::size_t>(next_tid)]->pending_finish ||
+        sched_->idle_poll_ops(next_tid) != ops) {
+      return false;
+    }
+  }
+  // Every poll up to the horizon, in one step.
+  const std::uint64_t polls = (horizon_ - clk) / period + 1;
+  core.batch_pass = pump_passes_;
+  core.batch_start = clk;
+  core.batch_period = period;
+  core.batch_polls = polls;
+  core.clock += polls * period;
+  core.empty_cy += polls * period;
+  core.empty_wakeups += polls;
+  count_empty(polls);
+  if (busy) {
+    busy_batches_.push_back(&core);
+  } else {
+    peer_batches_.push_back(&core);
+    peer_period_ = std::min(peer_period_, period);
+  }
+  queue_core(core, /*idle=*/true);
+  return true;
+}
+
+void SimEngine::undo_batch(VCore& core, std::uint64_t clk, int tid,
+                           bool requeue) {
+  if (core.batch_pass != pump_passes_) return;  // undone earlier this pass
+  core.batch_pass = 0;
+  // Keep the polls ordered before event (clk, tid); the pump would have run
+  // the rest after it, against the scheduler state it changed.
+  const std::uint64_t period = core.batch_period;
+  std::uint64_t kept = (clk - core.batch_start) / period;
+  if (core.batch_start + kept * period < clk || core.tid < tid) ++kept;
+  if (kept >= core.batch_polls) return;
+  const std::uint64_t undone = core.batch_polls - kept;
+  core.clock -= undone * period;
+  core.empty_cy -= undone * period;
+  core.empty_wakeups -= undone;
+  consecutive_empty_ -= std::min(consecutive_empty_, undone);
+  if (requeue) {
+    queue_core(core, /*idle=*/true);  // its old entry is now stale
+    ++stale_entries_;
+  }
+}
+
+void SimEngine::undo_peer_batches(std::uint64_t clk, int tid) {
+  for (VCore* core : peer_batches_) undo_batch(*core, clk, tid, true);
+  peer_batches_.clear();
+  peer_period_ = std::numeric_limits<std::uint64_t>::max();
+}
+
+void SimEngine::undo_pushed(std::uint64_t clk, int tid) {
+  if (push_log_.empty()) return;
+  undo_peer_batches(clk, tid);
+  int last = -1;
+  for (const int node_id : push_log_) {
+    if (node_id == last) continue;
+    last = node_id;
+    const machine::Node& node = topo_.node(node_id);
+    for (VCore* core : busy_batches_) {
+      if (core->leaf_pos >= node.first_leaf &&
+          core->leaf_pos < node.first_leaf + node.num_leaves) {
+        undo_batch(*core, clk, tid, true);
+      }
+    }
+  }
+  push_log_.clear();
 }
 
 void SimEngine::worker_pass(int h) {
@@ -242,6 +389,8 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     core->strands = 0;
     core->empty_wakeups = 0;
     core->pending_finish = false;
+    core->queued = false;
+    core->batch_pass = 0;
     core->fiber_resumes_base = core->fiber ? core->fiber->resumes() : 0;
   }
   windows_since_merge_ = 0;
@@ -259,6 +408,9 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
   trace::Scope trace_scope(recorder_.get());
   trace::Recorder* const rec = recorder_.get();
   using trace::EventKind;
+  // Idle fast-forward (file comment of engine.h) needs the scheduler's
+  // hooks; with the recorder on, every poll is executed and recorded.
+  const bool fast_idle = rec == nullptr && sched.set_push_log(&push_log_);
 
   {
     VCore& c0 = *cores_[0];
@@ -270,9 +422,11 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     c0.clock += cy;
   }
 
+  push_log_.clear();  // the root push; no poll has been charged yet
+
   events_.reset(num_threads_);
-  for (int t = 0; t < num_threads_; ++t)
-    events_.push(cores_[static_cast<std::size_t>(t)]->clock, t);
+  stale_entries_ = 0;
+  for (const auto& core : cores_) queue_core(*core, /*idle=*/false);
 
   const auto by_clock_tid = [](const VCore* a, const VCore* b) {
     return a->clock < b->clock || (a->clock == b->clock && a->tid < b->tid);
@@ -280,36 +434,42 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
 
   PoisonSink poison;
   std::uint64_t completion_clock = 0;
-  std::uint64_t consecutive_empty = 0;
+  consecutive_empty_ = 0;
   while (!root_completed_) {
     ++pump_passes_;
     // Window = [min clock, min clock + quantum] over every core.
     busy_min_ = std::numeric_limits<std::uint64_t>::max();
     for (const auto& list : shard_busy_)
       for (const VCore* c : list) busy_min_ = std::min(busy_min_, c->clock);
-    std::uint64_t min_clock = busy_min_;
-    if (!events_.empty()) min_clock = std::min(min_clock, events_.min_clock());
+    const std::uint64_t min_clock = next_event_clock();
     SBS_CHECK_MSG(min_clock != std::numeric_limits<std::uint64_t>::max(),
                   "no runnable cores, root not complete");
     horizon_ = min_clock + params_.skew_quantum;
+    busy_batches_.clear();
+    peer_batches_.clear();
+    peer_period_ = std::numeric_limits<std::uint64_t>::max();
 
     // Pump: idle gets and deferred strand completions, in (clock, thread)
     // order — all scheduler interaction is single-threaded here.
     std::uint64_t clk = 0;
     int tid = 0;
-    while (!events_.empty() && events_.min_clock() <= horizon_) {
-      events_.pop(&clk, &tid);
+    while (pop_event(&clk, &tid)) {
       VCore& core = *cores_[static_cast<std::size_t>(tid)];
       if (core.pending_finish) {
         core.pending_finish = false;
         finish_strand(core);
+        if (fast_idle) undo_pushed(clk, tid);
         if (root_completed_) {
+          // The run ends here: no batched poll after this event happened.
+          for (VCore* c : busy_batches_) undo_batch(*c, clk, tid, false);
+          for (VCore* c : peer_batches_) undo_batch(*c, clk, tid, false);
           completion_clock = core.clock;
           break;
         }
-        events_.push(core.clock, tid);
+        queue_core(core, /*idle=*/false);
         continue;
       }
+      if (fast_idle && try_batch(core, clk)) continue;
 
       if (rec) {
         rec->set_now(core.tid, core.clock);
@@ -318,6 +478,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
       const std::uint64_t ops0 = sched::ops_snapshot();
       Job* job = sched.get(core.tid);
       std::uint64_t cy = charge_ops(ops0);
+      if (fast_idle) undo_pushed(clk, tid);  // a failed admission requeues
       if (rec) {
         rec->record(core.tid, EventKind::kGetEnd, core.clock + cy, 0,
                     job != nullptr ? 1 : 0);
@@ -327,11 +488,22 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
         // to the earliest other event (but always advance by at least one
         // poll interval). Pure wait-time accounting — no schedulable event
         // is skipped.
-        std::uint64_t second = busy_min_;
-        if (!events_.empty()) second = std::min(second, events_.min_clock());
-        if (second == std::numeric_limits<std::uint64_t>::max()) second = 0;
-        const std::uint64_t next = std::max(
-            core.clock + cy + topo_.config().idle_poll_cycles, second);
+        const std::uint64_t idle = topo_.config().idle_poll_cycles;
+        std::uint64_t next = core.clock + cy + idle;
+        // Batched peers' polls are not in the queue. One of them lies
+        // within a period no longer than this one, so such a poll cannot
+        // bind; a shorter one (unless a busy core is near) first puts the
+        // peers back, so that `second` sees their next polls.
+        bool cannot_bind = false;
+        if (fast_idle && !peer_batches_.empty()) {
+          cannot_bind = cy + idle >= peer_period_ || busy_min_ <= clk + idle;
+          if (!cannot_bind) undo_peer_batches(clk, tid);
+        }
+        if (!cannot_bind) {
+          std::uint64_t second = next_event_clock();
+          if (second == std::numeric_limits<std::uint64_t>::max()) second = 0;
+          next = std::max(next, second);
+        }
         if (rec) {
           rec->record(core.tid, EventKind::kEmpty, core.clock + cy,
                       next - (core.clock + cy));
@@ -339,15 +511,11 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
         core.empty_cy += next - core.clock;
         core.clock = next;
         ++core.empty_wakeups;
-        events_.push_idle(core.clock, tid);
-        SBS_CHECK_MSG(++consecutive_empty <
-                          (std::uint64_t{1} << 24) *
-                              static_cast<std::uint64_t>(num_threads_),
-                      "simulation wedged: every core idle, no queued work, "
-                      "root not complete (scheduler lost a job?)");
+        queue_core(core, /*idle=*/true);
+        count_empty(1);
         continue;
       }
-      consecutive_empty = 0;
+      consecutive_empty_ = 0;
       core.get_cy += cy;
       core.clock += cy;
       core.job = job;
@@ -387,7 +555,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     // pushes below is immaterial.)
     for (VCore* core : inline_done_) {
       core->pending_finish = true;
-      events_.push(core->clock, core->tid);
+      queue_core(*core, /*idle=*/false);
     }
     inline_done_.clear();
 
@@ -423,7 +591,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
       for (VCore* core : list) {
         if (core->strand_done) {
           core->pending_finish = true;
-          events_.push(core->clock, core->tid);
+          queue_core(*core, /*idle=*/false);
         } else {
           list[keep++] = core;
         }
@@ -466,6 +634,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
                   "root completed while a strand was still running");
   memory_->merge_window();
   memory_->set_windowed(false);
+  if (fast_idle) sched.set_push_log(nullptr);
 
   sched.finish();
   delete root.sentinel;

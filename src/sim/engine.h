@@ -22,6 +22,35 @@
 // deterministic shard order. Results are therefore bit-identical for every
 // host_threads value, including 1 — the serial path is the same algorithm.
 //
+// Idle fast-forward. Most pump events on a many-core machine are empty
+// polls, and a scheduler that implements Scheduler::idle_poll_ops() and
+// set_push_log() (SB, SB-D) lets the pump charge them without calling
+// get(). A core is *quiet* when its get() must return nullptr because every
+// queue on its probe path is empty; each of its polls then costs a fixed
+// period c = ops * sched_op_cycles + idle_poll_cycles. An idle re-queue is
+// max(clock + c, second), where `second` is the next other event, and it
+// binds (takes `second`) only when no other event lies within c. Two
+// guarantees rule that out for every poll of a pump pass:
+//   busy  a busy core's clock is within idle_poll_cycles of the pop; busy
+//         clocks only fall within a pass, so this holds for every later
+//         poll of every core;
+//   peer  a batch of no longer period made earlier in the pass, or an
+//         equally quiet idle core queued within c, keeps an event within c
+//         of every poll until the next push.
+// Under either, the pump charges all k = (horizon - t) / c + 1 polls of a
+// quiet core popped at t in one step and re-queues it at t + k * c. The
+// scheduler logs the cache node of every queue push; after each scheduler
+// call at event (clk, tid), every busy batch of a thread under a pushed
+// node, and every peer batch, gives back its polls ordered after that
+// event and is re-queued at the first of them. A poll that is not batched
+// and is shorter than the live peers' gives them back before it reads
+// `second`, and root completion gives back every batched poll after it.
+// Polls charged in earlier passes are final: the per-poll pump also ran
+// them before any later event. The result is bit-identical to executing
+// every poll (tests/test_sim_fast_idle.cpp); docs/PERF.md §9 has the
+// numbers. Schedulers that keep the interface defaults (WS, PWS, CilkWS,
+// wrappers), and every run with the trace recorder on, poll one at a time.
+//
 // Semantics are exact (strand bodies execute real C++ on host memory);
 // timing is the model documented in memory_system.h. Scheduler queue
 // *contents* are not simulated as memory traffic — callbacks are charged
@@ -127,6 +156,28 @@ class SimEngine {
 
   void finish_strand(VCore& core);
   std::uint64_t charge_ops(std::uint64_t ops_before) const;
+
+  // Event queue access that skips stale entries (see events_).
+  void queue_core(VCore& core, bool idle);
+  void purge_stale();
+  /// Pop the next live event at or below the horizon; false if none.
+  bool pop_event(std::uint64_t* clk, int* tid);
+  /// The earliest clock of any busy core or live queued event.
+  std::uint64_t next_event_clock();
+  /// Count `polls` empty polls against the wedge check.
+  void count_empty(std::uint64_t polls);
+
+  // Idle fast-forward (file comment).
+  /// Charge every poll of quiet core `core`, popped at `clk`, up to the
+  /// horizon in one step if none of them can bind; false otherwise.
+  bool try_batch(VCore& core, std::uint64_t clk);
+  /// Un-charge the polls of `core`'s live batch that come after event
+  /// (clk, tid), re-queueing the core at the first of them if `requeue`.
+  void undo_batch(VCore& core, std::uint64_t clk, int tid, bool requeue);
+  void undo_peer_batches(std::uint64_t clk, int tid);
+  /// Drain push_log_ after a scheduler call at event (clk, tid): undo every
+  /// peer batch and each busy batch of a thread under a pushed node.
+  void undo_pushed(std::uint64_t clk, int tid);
   /// Resume every busy core of the shards assigned to host worker `h`
   /// until their clocks pass horizon_ (one window phase's share).
   void worker_pass(int h);
@@ -164,10 +215,24 @@ class SimEngine {
   /// Exact (clock, thread id) min-queue over idle and pending-finish cores
   /// (event_queue.h): idle re-queues append to a sorted ring in O(1),
   /// completions and the initial fill go to a small heap. Busy cores live
-  /// in shard_busy_ instead.
+  /// in shard_busy_ instead. An undone batch leaves its core's old entry
+  /// behind: an entry is live only while its core is `queued` at exactly
+  /// that clock. stale_entries_ counts the others, so the queue is only
+  /// purged while some exist (never under WS, whose polls are not batched).
   EventQueue events_;
+  std::size_t stale_entries_ = 0;
   std::vector<std::vector<VCore*>> shard_busy_;  ///< per shard, sorted
   std::uint64_t busy_min_ = 0;  ///< min busy-core clock this window
+  /// Empty polls since the last successful get(); the run is declared
+  /// wedged when it reaches wedge_limit_.
+  std::uint64_t consecutive_empty_ = 0;
+  std::uint64_t wedge_limit_ = 0;
+
+  // Idle fast-forward state of the current pump pass.
+  std::vector<int> push_log_;  ///< registered with the scheduler
+  std::vector<VCore*> busy_batches_;  ///< protected by a busy core
+  std::vector<VCore*> peer_batches_;  ///< protected by each other
+  std::uint64_t peer_period_ = 0;  ///< shortest live peer period
 
   // Window-phase worker pool (host_threads_ - 1 threads + the pump).
   std::vector<std::thread> pool_;

@@ -3,14 +3,18 @@
 // and awaits done/settle/add.
 //
 // A key packs clock << kTidBits | tid, so integer order is (clock, tid)
-// order. A core is queued at most once, so keys are unique and the pop
-// sequence is fully determined by the set of pushed keys — whichever data
-// structure holds them. Two lanes hold them here:
+// order, and the pop sequence is fully determined by the multiset of pushed
+// keys — whichever data structure holds them. The queue does not require
+// keys to be unique: the engine's idle fast-forward can leave a stale entry
+// behind for a core it re-queues elsewhere, and it skips such entries itself
+// (engine.h). Two lanes hold the keys here:
 //
 //  - a sorted ring (FIFO) for idle re-queues. An idle core is re-queued at
 //    the popped minimum plus the poll period, so successive idle keys
 //    mostly arrive in increasing order and append in O(1). A key below the
-//    ring's tail goes to the heap instead, so the ring stays sorted.
+//    ring's tail, or one that finds the ring full (possible only while stale
+//    entries are queued), goes to the heap instead, so the ring stays
+//    sorted.
 //  - a small binary heap for every other push: strand completions, inline
 //    completions, the initial fill, and out-of-order idle keys.
 //    Completions never extend the ring: one far-ahead completion key at its
@@ -52,18 +56,26 @@ class EventQueue {
   /// Smallest queued clock; the queue must not be empty.
   std::uint64_t min_clock() const { return min_key() >> kTidBits; }
 
+  /// The smallest (clock, tid) without popping it; the queue must not be
+  /// empty.
+  void peek(std::uint64_t* clock, int* tid) const {
+    const std::uint64_t key = min_key();
+    *clock = key >> kTidBits;
+    *tid = static_cast<int>(key & kTidMask);
+  }
+
   /// Queue a completion (or any key that may be out of order): heap lane.
   void push(std::uint64_t clock, int tid) { heap_push(pack(clock, tid)); }
 
   /// Queue an idle core's next poll: appended to the ring when it keeps
-  /// the ring sorted, otherwise to the heap.
+  /// the ring sorted and the ring has room, otherwise to the heap.
   void push_idle(std::uint64_t clock, int tid) {
     const std::uint64_t key = pack(clock, tid);
-    if (ring_size_ != 0 && key < ring_at(ring_size_ - 1)) {
+    if (ring_size_ == ring_.size() ||
+        (ring_size_ != 0 && key < ring_at(ring_size_ - 1))) {
       heap_push(key);
       return;
     }
-    SBS_ASSERT(ring_size_ < ring_.size());
     ring_[(ring_head_ + ring_size_) & (ring_.size() - 1)] = key;
     ++ring_size_;
   }

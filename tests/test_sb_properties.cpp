@@ -5,11 +5,13 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "kernels/kernel.h"
 #include "machine/config.h"
 #include "machine/topology.h"
 #include "runtime/jobs.h"
+#include "runtime/strand_ops.h"
 #include "runtime/thread_pool.h"
 #include "sched/ops.h"
 #include "sched/registry.h"
@@ -23,6 +25,7 @@ using machine::Preset;
 using machine::Topology;
 using runtime::Job;
 using runtime::Strand;
+using runtime::StrandOps;
 using runtime::make_job;
 using runtime::make_nop;
 
@@ -198,14 +201,48 @@ TEST_P(EmptyPoll, ChargesOneOpPerQueueOnThePath) {
   SpaceBounded sched(options);
   sched.start(topo, topo.num_threads());
 
+  std::vector<int> push_log;
+  EXPECT_TRUE(sched.set_push_log(&push_log));
+
   std::uint64_t total = 0;
   for (int t = 0; t < topo.num_threads(); ++t) {
-    const std::uint64_t ops0 = ops_snapshot();
+    // The simulator's idle fast-forward charges a quiet core this many ops
+    // per poll instead of calling get(); asking must cost nothing.
+    std::uint64_t ops0 = ops_snapshot();
+    const std::int64_t predicted = sched.idle_poll_ops(t);
+    EXPECT_EQ(ops_snapshot(), ops0) << "thread " << t;
+    ops0 = ops_snapshot();
     EXPECT_EQ(sched.get(t), nullptr) << "thread " << t;
     const std::uint64_t ops = ops_snapshot() - ops0;
     EXPECT_EQ(ops, expected_probe_ops(topo, t, distributed)) << "thread " << t;
+    EXPECT_EQ(predicted, static_cast<std::int64_t>(ops)) << "thread " << t;
     total += ops;
   }
+  EXPECT_TRUE(push_log.empty());
+
+  // Once the root job is queued at the root node, which is on every
+  // thread's probe path, no poll is certain to come back empty.
+  Job* root_job = make_job([](Strand&) {}, 64);
+  const StrandOps::Root root = StrandOps::make_root(root_job);
+  sched.add(root_job, 0);
+  EXPECT_EQ(push_log, std::vector<int>{topo.root()});
+  for (int t = 0; t < topo.num_threads(); ++t)
+    EXPECT_EQ(sched.idle_poll_ops(t), -1) << "thread " << t;
+  sched.set_push_log(nullptr);
+
+  // Run the root to completion, as an engine would, so the scheduler drains.
+  Job* job = sched.get(0);
+  ASSERT_EQ(job, root_job);
+  Strand strand(0, topo.num_threads());
+  job->execute(strand);
+  sched.done(job, 0, /*task_completed=*/true);
+  std::vector<Job*> to_add;
+  bool root_completed = false;
+  StrandOps::settle(job, strand, to_add, root_completed);
+  EXPECT_TRUE(root_completed);
+  EXPECT_TRUE(to_add.empty());
+  EXPECT_EQ(push_log.size(), 1u);  // cleared: no longer written
+  delete root.sentinel;
   sched.finish();
   // Spot-check the count itself on huge64 (4 cache levels, fan-outs
   // 64/2/4/1): SB walks 1+2+3+4+5 queues; SB-D's top buckets hold

@@ -205,5 +205,28 @@ TEST(SimEngine, SchedulerOverheadEmergesFromOps) {
   EXPECT_GT(sb_sched, ws_sched);
 }
 
+// huge128 and huge256 have 2048 virtual cores, and each core allocates
+// mid-strand arrays from its own arena stream (mem.h).
+TEST(SimEngine, ArenaHasAStreamForEveryCoreOfTheLargestConfig) {
+  struct LastCore final : mem::AccessSink {
+    void touch(std::uintptr_t, std::uint64_t, bool) override {}
+    void work(std::uint64_t) override {}
+    int stream_id() const override { return 2047; }
+  } sink;
+  mem::SinkScope scope(&sink);
+  mem::Array<double> array(1 << 10);
+  array[0] = 1.0;
+  array[(1 << 10) - 1] = 2.0;
+  EXPECT_EQ(array[0] + array[(1 << 10) - 1], 3.0);
+}
+
+TEST(SimEngine, MoreCoresThanArenaStreamsFailsAtConstruction) {
+  machine::MachineConfig cfg = Preset("mini");
+  cfg.levels[0].fanout = static_cast<std::uint32_t>(mem::arena::kStreams);
+  cfg.levels[1].fanout = 2;
+  const Topology topo(cfg);
+  EXPECT_DEATH({ SimEngine engine(topo); }, "more virtual cores than arena");
+}
+
 }  // namespace
 }  // namespace sbs::sim
