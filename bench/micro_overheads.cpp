@@ -9,24 +9,23 @@
 //
 // After the google-benchmark suite, a set of JSON cells is written to
 // BENCH_micro_overheads.json:
-//   - recorder_overhead: cost of the tracing subsystem (traced vs untraced)
+//   - recorder_overhead: cost of the tracing subsystem (traced vs untraced
+//     fork-tree samples, alternated)
 //   - deque_add_get / deque_steal: the seed's locked std::deque scheduler
 //     queue (kept here as the baseline) vs the Chase-Lev deque that now
 //     backs WS/PWS, same binary so the delta is directly comparable
 //   - fork_alloc: heap operator new vs the per-worker JobArena for
 //     Job-sized allocations
-//   - cache_find_way / cache_presence_filter / cache_lru_touch: the
-//     simulated-cache probe representations (sim/cache.h) — scalar vs SIMD
-//     tag scans, the guaranteed-miss cost with and without the per-set
-//     presence filter, and rotate vs packed recency maintenance under the
-//     MRU-repeat (rotate's best case) and LRU-cycle (rotate's worst case)
-//     probe patterns
+//   - cache_presence_filter: the guaranteed-miss probe cost of the
+//     simulated cache (sim/cache.h) with and without its per-set presence
+//     filter
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -91,15 +90,39 @@ void BM_ForkJoinThroughput(benchmark::State& state) {
   }
 }
 
-/// Best-of-reps wall time of a depth-11 fork tree under WS on `pool`.
-double best_wall_s(runtime::ThreadPool& pool, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+/// The recorder_overhead cell's workload: samples of kRecorderTrees fork
+/// trees of this depth under WS on one worker, timed in process CPU
+/// seconds. One worker and CPU time keep host scheduling out of the
+/// figure: on a shared 4-vCPU host, wall time on four workers read
+/// −0.4% to +18% from run to run. Each tree's run resets the rings, so
+/// none overflows. Traced and untraced samples alternate so host drift
+/// hits both sides alike, and the slowdown is the median of the per-pair
+/// traced/untraced ratios.
+constexpr int kRecorderDepth = 15;
+constexpr int kRecorderTrees = 4;
+constexpr int kRecorderPairs = 31;
+
+/// Process CPU seconds, every thread's.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// CPU time of one recorder-cell sample on `pool`.
+double fork_tree_sample_s(runtime::ThreadPool& pool) {
+  const double t0 = process_cpu_s();
+  for (int t = 0; t < kRecorderTrees; ++t) {
     auto sched = sched::MakeScheduler("WS");
-    const runtime::RunStats stats = pool.run(*sched, fork_tree(11));
-    best = std::min(best, stats.wall_s);
+    pool.run(*sched, fork_tree(kRecorderDepth));
   }
-  return best;
+  return process_cpu_s() - t0;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 /// The scheduler queue WS/PWS shipped with before the Chase-Lev switch:
@@ -316,99 +339,41 @@ double job_alloc_ops_per_sec(runtime::JobArena* arena) {
   return static_cast<double>(kAllocTotal) / best;
 }
 
-// --- simulated-cache probe cells (sim/cache.h representations) ---
+// --- simulated-cache probe cell (sim/cache.h) ---
 
-constexpr int kProbeReps = 3;
+constexpr int kProbeReps = 5;
 constexpr std::size_t kProbeTarget = std::size_t{1} << 21;
 
-/// ns per contains() over a mixed hit/miss probe stream on a 256-set cache
-/// filled with 4x its capacity (so roughly 1 in 4 probes hits). Packed LRU
-/// keeps slots fixed, making the scan depth independent of fill history;
-/// the filter is off so every probe really scans the tags.
-double find_way_ns(std::uint32_t assoc, bool simd) {
-  const std::uint64_t sets = 256;
-  sim::CacheOptions o;
-  o.simd_probes = simd;
-  o.presence_filter = false;
-  o.packed_lru = true;
-  sim::Cache c(sets * assoc * 64, 64, assoc, o);
-  const std::uint64_t stream = sets * assoc * 4;
-  for (std::uint64_t i = 0; i < stream; ++i) {
-    sim::Cache::Evicted ev;
-    c.fill_if_absent(i, false, &ev);
-  }
-  const std::size_t passes =
-      std::max<std::size_t>(1, kProbeTarget / stream);
-  double best = 1e300;
-  for (int rep = 0; rep < kProbeReps; ++rep) {
-    const double t0 = now_s();
-    std::uint64_t found = 0;
-    for (std::size_t p = 0; p < passes; ++p) {
-      for (std::uint64_t i = 0; i < stream; ++i) {
-        found += c.contains(i) ? 1 : 0;
-      }
-    }
-    benchmark::DoNotOptimize(found);
-    best = std::min(best, now_s() - t0);
-  }
-  return best * 1e9 /
-         (static_cast<double>(stream) * static_cast<double>(passes));
-}
-
-/// ns per guaranteed-miss probe_and_touch() — the outer-level coherence
-/// sweep case the presence filter exists for. With the filter forced on
-/// (filter_min_tag_bytes = 0) most probes end at a zero filter bucket; off,
-/// every probe scans the full set.
-double miss_probe_ns(std::uint32_t assoc, bool filter,
-                     std::uint64_t* skips_out) {
-  const std::uint64_t sets = 256;
+/// huge64's L3 geometry (32 MB, 16-way: 4 MB of tags, far past the host
+/// cache and the default filter threshold) with default options, filled
+/// with 4x its capacity.
+sim::Cache filled_probe_cache(bool filter) {
+  constexpr std::uint64_t kSets = 32768;
+  constexpr std::uint32_t kAssoc = 16;
   sim::CacheOptions o;
   o.presence_filter = filter;
-  o.filter_min_tag_bytes = 0;
-  o.packed_lru = true;
-  sim::Cache c(sets * assoc * 64, 64, assoc, o);
-  const std::uint64_t lines = sets * assoc;
-  for (std::uint64_t i = 0; i < lines * 4; ++i) {
+  sim::Cache c(kSets * kAssoc * 64, 64, kAssoc, o);
+  SBS_CHECK(c.filter_enabled() == filter);
+  for (std::uint64_t i = 0; i < kSets * kAssoc * 4; ++i) {
     sim::Cache::Evicted ev;
     c.fill_if_absent(i, false, &ev);
   }
-  const std::uint64_t absent_base = lines * 16;  // never filled
-  double best = 1e300;
-  for (int rep = 0; rep < kProbeReps; ++rep) {
-    const double t0 = now_s();
-    std::uint64_t hits = 0;
-    for (std::size_t i = 0; i < kProbeTarget; ++i) {
-      hits += c.probe_and_touch(absent_base + i, false) ? 1 : 0;
-    }
-    SBS_CHECK_MSG(hits == 0, "absent probe stream hit the cache");
-    best = std::min(best, now_s() - t0);
-  }
-  if (skips_out != nullptr) *skips_out = c.filter_skips();
-  return best * 1e9 / static_cast<double>(kProbeTarget);
+  return c;
 }
 
-/// ns per probe_and_touch() on a single fully-associative set, under the
-/// two extreme hit patterns: `cycle` round-robins the set's lines (every
-/// probe hits the current LRU way — rotate's O(assoc) worst case), else
-/// the same line repeats (the MRU fast path in every representation).
-double touch_ns(std::uint32_t assoc, bool packed, bool cycle) {
-  sim::CacheOptions o;
-  o.presence_filter = false;
-  o.packed_lru = packed;
-  sim::Cache c(assoc * 64, 64, assoc, o);
-  for (std::uint64_t l = 1; l <= assoc; ++l) c.fill(l, false);
-  double best = 1e300;
-  for (int rep = 0; rep < kProbeReps; ++rep) {
-    const double t0 = now_s();
-    std::uint64_t hits = 0;
-    for (std::size_t i = 0; i < kProbeTarget; ++i) {
-      const std::uint64_t line = cycle ? 1 + i % assoc : 1;
-      hits += c.probe_and_touch(line, false) ? 1 : 0;
-    }
-    SBS_CHECK_MSG(hits == kProbeTarget, "resident probe stream missed");
-    best = std::min(best, now_s() - t0);
+/// ns per guaranteed-miss probe_and_touch() on `c` — the outer-level
+/// coherence sweep case the presence filter exists for. With the filter
+/// on most probes end at a zero filter bucket; off, every probe scans the
+/// full set.
+double miss_probe_ns(sim::Cache& c) {
+  const std::uint64_t absent_base = std::uint64_t{1} << 40;  // never filled
+  const double t0 = now_s();
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < kProbeTarget; ++i) {
+    hits += c.probe_and_touch(absent_base + i, false) ? 1 : 0;
   }
-  return best * 1e9 / static_cast<double>(kProbeTarget);
+  SBS_CHECK_MSG(hits == 0, "absent probe stream hit the cache");
+  return (now_s() - t0) * 1e9 / static_cast<double>(kProbeTarget);
 }
 
 /// Writes BENCH_micro_overheads.json: the recorder's traced-vs-untraced
@@ -416,18 +381,21 @@ double touch_ns(std::uint32_t assoc, bool packed, bool cycle) {
 /// vs Chase-Lev queue cells, and the heap vs arena allocation cells.
 void write_bench_cells() {
   const machine::Topology topo(machine::Preset("mini"));
-  constexpr int kReps = 5;
-
-  runtime::ThreadPool plain(topo);
-  const double untraced_s = best_wall_s(plain, kReps);
-
-  runtime::ThreadPool traced(topo);
-  traced.enable_tracing(1u << 18);
-  const double traced_s = best_wall_s(traced, kReps);
+  runtime::ThreadPool plain(topo, 1);
+  runtime::ThreadPool traced(topo, 1);
+  traced.enable_tracing(1u << 20);  // one tree's ~557K events, no drops
+  std::vector<double> untraced, traced_v, ratio;
+  for (int pair = 0; pair < kRecorderPairs; ++pair) {
+    untraced.push_back(fork_tree_sample_s(plain) / kRecorderTrees);
+    traced_v.push_back(fork_tree_sample_s(traced) / kRecorderTrees);
+    ratio.push_back(traced_v.back() / untraced.back());
+  }
+  const double untraced_s = median(untraced);
+  const double traced_s = median(traced_v);
   const std::uint64_t events = traced.recorder()->total_recorded();
   const std::uint64_t dropped = traced.recorder()->total_dropped();
 
-  const double slowdown_pct = 100.0 * (traced_s / untraced_s - 1.0);
+  const double slowdown_pct = 100.0 * (median(ratio) - 1.0);
   const double events_per_sec = static_cast<double>(events) / traced_s;
 
   // Queue and allocator hot-path cells (same binary, same flags, so the
@@ -443,33 +411,29 @@ void write_bench_cells() {
   const double arena_alloc = job_alloc_ops_per_sec(&arena);
   const double fiber_ops = fiber_switch_ops_per_sec();
 
-  // Simulated-cache probe cells.
-  const std::uint32_t kFindWayAssocs[] = {8, 24, 32};
-  double scalar_ns[3], simd_ns[3];
-  for (int i = 0; i < 3; ++i) {
-    scalar_ns[i] = find_way_ns(kFindWayAssocs[i], /*simd=*/false);
-    simd_ns[i] = find_way_ns(kFindWayAssocs[i], /*simd=*/true);
+  // Alternated like the recorder cell, best of each.
+  sim::Cache scan_cache = filled_probe_cache(/*filter=*/false);
+  sim::Cache filter_cache = filled_probe_cache(/*filter=*/true);
+  double miss_scan_ns = 1e300, miss_filter_ns = 1e300;
+  for (int rep = 0; rep < kProbeReps; ++rep) {
+    miss_scan_ns = std::min(miss_scan_ns, miss_probe_ns(scan_cache));
+    miss_filter_ns = std::min(miss_filter_ns, miss_probe_ns(filter_cache));
   }
-  std::uint64_t filter_skips = 0;
-  const double miss_scan_ns = miss_probe_ns(16, /*filter=*/false, nullptr);
-  const double miss_filter_ns = miss_probe_ns(16, /*filter=*/true,
-                                              &filter_skips);
-  const std::uint32_t kTouchAssocs[] = {8, 24};  // order-word / stamp mode
-  double rot_mru_ns[2], rot_cyc_ns[2], pak_mru_ns[2], pak_cyc_ns[2];
-  for (int i = 0; i < 2; ++i) {
-    rot_mru_ns[i] = touch_ns(kTouchAssocs[i], /*packed=*/false, false);
-    rot_cyc_ns[i] = touch_ns(kTouchAssocs[i], /*packed=*/false, true);
-    pak_mru_ns[i] = touch_ns(kTouchAssocs[i], /*packed=*/true, false);
-    pak_cyc_ns[i] = touch_ns(kTouchAssocs[i], /*packed=*/true, true);
-  }
+  const std::uint64_t filter_skips = filter_cache.filter_skips();
 
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "micro_overheads");
-  w.kv("schema_version", 5);
+  w.kv("schema_version", 6);
   w.key("recorder_overhead").begin_object();
   w.kv("machine", "mini");
-  w.kv("workload", "fork_tree(11) under WS, best of 5");
+  char workload[160];
+  std::snprintf(workload, sizeof workload,
+                "%d fork_tree(%d) runs under WS on 1 worker per sample, "
+                "process CPU time, traced/untraced samples alternated, "
+                "median of %d pairs",
+                kRecorderTrees, kRecorderDepth, kRecorderPairs);
+  w.kv("workload", workload);
   w.kv("untraced_s", untraced_s);
   w.kv("traced_s", traced_s);
   w.kv("slowdown_pct", slowdown_pct);
@@ -510,44 +474,14 @@ void write_bench_cells() {
   w.kv("round_trips_per_sec", fiber_ops);
   w.kv("ns_per_round_trip", 1e9 / fiber_ops);
   w.end_object();
-  w.key("cache_find_way").begin_object();
-  w.kv("workload", "contains() mixed hit/miss, 256 sets, best of 3");
-  for (int i = 0; i < 3; ++i) {
-    // Report the impl a cache of this associativity actually selects
-    // (narrow sets demote AVX2 to inline SSE2 — cache.cpp).
-    const sim::Cache probe_cache(256 * kFindWayAssocs[i] * 64, 64,
-                                 kFindWayAssocs[i]);
-    char cell[32];
-    std::snprintf(cell, sizeof cell, "assoc_%u", kFindWayAssocs[i]);
-    w.key(cell).begin_object();
-    w.kv("simd_impl", sim::simd::probe_impl_name(probe_cache.probe_impl()));
-    w.kv("scalar_ns_per_probe", scalar_ns[i]);
-    w.kv("simd_ns_per_probe", simd_ns[i]);
-    w.kv("speedup", scalar_ns[i] / simd_ns[i]);
-    w.end_object();
-  }
-  w.end_object();
   w.key("cache_presence_filter").begin_object();
-  w.kv("workload", "guaranteed-miss probe_and_touch, assoc 16, best of 3");
+  w.kv("workload",
+       "guaranteed-miss probe_and_touch, 32768 sets x 16 ways, filtered "
+       "and unfiltered alternated, best of 5");
   w.kv("scan_ns_per_probe", miss_scan_ns);
   w.kv("filtered_ns_per_probe", miss_filter_ns);
   w.kv("filter_skips", filter_skips);
   w.kv("speedup", miss_scan_ns / miss_filter_ns);
-  w.end_object();
-  w.key("cache_lru_touch").begin_object();
-  w.kv("workload",
-       "probe_and_touch on one fully-assoc set, MRU-repeat vs LRU-cycle");
-  for (int i = 0; i < 2; ++i) {
-    char cell[32];
-    std::snprintf(cell, sizeof cell, "assoc_%u", kTouchAssocs[i]);
-    w.key(cell).begin_object();
-    w.kv("rotate_mru_ns", rot_mru_ns[i]);
-    w.kv("rotate_lru_cycle_ns", rot_cyc_ns[i]);
-    w.kv("packed_mru_ns", pak_mru_ns[i]);
-    w.kv("packed_lru_cycle_ns", pak_cyc_ns[i]);
-    w.kv("lru_cycle_speedup", rot_cyc_ns[i] / pak_cyc_ns[i]);
-    w.end_object();
-  }
   w.end_object();
   w.end_object();
 
@@ -577,22 +511,9 @@ void write_bench_cells() {
   std::printf("fiber switch:  %.1fM round trips/s (%.1f ns each, %s)\n",
               fiber_ops / 1e6, 1e9 / fiber_ops,
               SBS_ASM_FIBERS ? "asm" : "ucontext");
-  for (int i = 0; i < 3; ++i) {
-    std::printf(
-        "cache find_way assoc %-2u: scalar %.1f ns, simd %.1f ns (%.2fx)\n",
-        kFindWayAssocs[i], scalar_ns[i], simd_ns[i],
-        scalar_ns[i] / simd_ns[i]);
-  }
   std::printf(
       "cache miss probe assoc 16: scan %.1f ns, filtered %.1f ns (%.2fx)\n",
       miss_scan_ns, miss_filter_ns, miss_scan_ns / miss_filter_ns);
-  for (int i = 0; i < 2; ++i) {
-    std::printf(
-        "cache touch assoc %-2u: rotate mru/cycle %.1f/%.1f ns, packed "
-        "%.1f/%.1f ns\n",
-        kTouchAssocs[i], rot_mru_ns[i], rot_cyc_ns[i], pak_mru_ns[i],
-        pak_cyc_ns[i]);
-  }
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Simulator throughput: simulated accesses per host-second on the paper's
-// xeon7560_fig4 machine (samplesort, WS), serial and with parallel window
-// execution, plus a huge-machine configuration that exercises the sharded
-// path at scale.
+// xeon7560_fig4 machine (samplesort, WS), with adaptive and fixed-quantum
+// windows, plus a huge-machine configuration that exercises the sharded
+// memory system at scale.
 //
 // Writes BENCH_sim_throughput.json. Every simulated run here is
 // deterministic: for a given (machine, kernel, n, skew_quantum), the
-// makespan and counters are bit-identical for every --host-threads value
-// and for adaptive vs fixed-quantum windows (see src/sim/engine.h); the
-// bench asserts both before reporting, the latter across all four
-// schedulers.
+// makespan and counters are bit-identical across repetitions and for
+// adaptive vs fixed-quantum windows (see src/sim/engine.h); the bench
+// asserts both before reporting, the latter across all four schedulers.
 //
 //   ./sim_throughput             # full matrix (n=1M, huge64 scaling)
 //   ./sim_throughput --smoke     # CI: small n, still asserts equivalences
@@ -52,12 +51,11 @@ struct Measurement {
 /// run.
 Measurement measure(const machine::MachineConfig& cfg,
                     const std::string& kernel_name, std::size_t n,
-                    std::uint64_t quantum, int host_threads, int reps,
-                    bool adaptive = true, const std::string& sched_name = "WS") {
+                    std::uint64_t quantum, int reps, bool adaptive = true,
+                    const std::string& sched_name = "WS") {
   machine::Topology topo(cfg);
   sim::SimParams sp;
   sp.skew_quantum = quantum;
-  sp.host_threads = host_threads;
   sp.adaptive_window = adaptive;
   sim::SimEngine eng(topo, sp);
 
@@ -108,19 +106,13 @@ void check_adaptive_identical(const Measurement& fixed, const Measurement& ad,
                 "adaptive windows increased merge count");
 }
 
-/// `timing_meaningful` is false for multi-host-thread cells on a host with
-/// a single CPU: the windows still execute (and the equivalence asserts
-/// still bind), but the wall time measures oversubscription, not speedup —
-/// consumers should not read accesses_per_sec from such a cell.
-void emit(JsonWriter& w, const char* key, const Measurement& m,
-          bool timing_meaningful = true) {
+void emit(JsonWriter& w, const char* key, const Measurement& m) {
   w.key(key).begin_object();
   w.kv("accesses", m.accesses);
   w.kv("best_wall_s", m.best_wall_s);
   w.kv("accesses_per_sec", m.acc_per_sec);
   w.kv("makespan_cycles", m.makespan);
   w.kv("filter_skips", m.counters.filter_skips);
-  w.kv("timing_meaningful", timing_meaningful);
   w.key("engine").begin_object();
   w.kv("windows_executed", m.counters.windows_executed);
   w.kv("window_merges", m.counters.window_merges);
@@ -154,32 +146,15 @@ int main(int argc, char** argv) {
   const machine::MachineConfig xeon =
       machine::LoadConfigFile("configs/xeon7560_fig4.cfg");
 
-  // Serial and parallel on the paper's machine. host_threads is clamped to
-  // the socket count (4 here).
-  const Measurement serial =
-      measure(xeon, "samplesort", n, quantum, /*host_threads=*/1, reps);
-  const Measurement par4 =
-      measure(xeon, "samplesort", n, quantum, /*host_threads=*/4, reps);
-  SBS_CHECK_MSG(serial.makespan == par4.makespan &&
-                    serial.accesses == par4.accesses,
-                "parallel window execution diverged from serial");
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  const bool multi_thread_timing = host_cpus > 1;
-  std::printf("xeon7560 samplesort n=%zu: serial %.1fM acc/s, ht=4 %.1fM "
-              "acc/s (makespan %llu, identical)\n",
-              n, serial.acc_per_sec / 1e6, par4.acc_per_sec / 1e6,
+  const Measurement serial = measure(xeon, "samplesort", n, quantum, reps);
+  std::printf("xeon7560 samplesort n=%zu: %.1fM acc/s (makespan %llu)\n", n,
+              serial.acc_per_sec / 1e6,
               static_cast<unsigned long long>(serial.makespan));
-  if (!multi_thread_timing) {
-    std::printf("  note: host has 1 CPU — multi-host-thread wall times "
-                "measure oversubscription, not speedup (cells are marked "
-                "timing_meaningful=false)\n");
-  }
 
   // Fixed-quantum control cell: adaptive window coalescing must be a pure
   // host-side optimization.
-  const Measurement fixed_q = measure(xeon, "samplesort", n, quantum,
-                                      /*host_threads=*/1, reps,
-                                      /*adaptive=*/false);
+  const Measurement fixed_q =
+      measure(xeon, "samplesort", n, quantum, reps, /*adaptive=*/false);
   check_adaptive_identical(fixed_q, serial,
                            "adaptive windows diverged from fixed quantum");
   std::printf("  fixed-quantum control: %.1fM acc/s, %llu merges vs %llu "
@@ -192,9 +167,9 @@ int main(int argc, char** argv) {
   // these cells are correctness gates, not throughput measurements).
   const std::size_t eq_n = std::min<std::size_t>(n, 100000);
   for (const char* sched : {"WS", "PWS", "SB", "SB-D"}) {
-    const Measurement f = measure(xeon, "samplesort", eq_n, quantum, 1, 1,
+    const Measurement f = measure(xeon, "samplesort", eq_n, quantum, 1,
                                   /*adaptive=*/false, sched);
-    const Measurement a = measure(xeon, "samplesort", eq_n, quantum, 1, 1,
+    const Measurement a = measure(xeon, "samplesort", eq_n, quantum, 1,
                                   /*adaptive=*/true, sched);
     check_adaptive_identical(f, a, "adaptive windows diverged from fixed");
     std::printf("  adaptive==fixed under %s (makespan %llu)\n", sched,
@@ -203,29 +178,20 @@ int main(int argc, char** argv) {
 
   if (xeon_only) return 0;
 
-  // The huge sharded configuration (64 sockets, 4 cache levels, 512
-  // threads): where parallel window execution pays.
+  // The huge sharded configuration: 64 sockets, 4 cache levels, 512
+  // threads.
   const machine::MachineConfig huge =
       machine::LoadConfigFile("configs/huge64_4level.cfg");
   const std::size_t huge_n = smoke ? 100000 : 1000000;
-  const Measurement huge1 =
-      measure(huge, "samplesort", huge_n, quantum, /*host_threads=*/1,
-              reps);
-  const Measurement huge8 =
-      measure(huge, "samplesort", huge_n, quantum, /*host_threads=*/8,
-              reps);
-  SBS_CHECK_MSG(huge1.makespan == huge8.makespan &&
-                    huge1.accesses == huge8.accesses,
-                "parallel window execution diverged from serial (huge64)");
-  std::printf("huge64 samplesort n=%zu: serial %.1fM acc/s, ht=8 %.1fM "
-              "acc/s (makespan %llu, identical)\n",
-              huge_n, huge1.acc_per_sec / 1e6, huge8.acc_per_sec / 1e6,
+  const Measurement huge1 = measure(huge, "samplesort", huge_n, quantum, reps);
+  std::printf("huge64 samplesort n=%zu: %.1fM acc/s (makespan %llu)\n",
+              huge_n, huge1.acc_per_sec / 1e6,
               static_cast<unsigned long long>(huge1.makespan));
 
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "sim_throughput");
-  w.kv("schema_version", 3);
+  w.kv("schema_version", 4);
   w.kv("smoke", smoke);
   w.kv("kernel", "samplesort");
   w.kv("sched", "WS");
@@ -233,32 +199,24 @@ int main(int argc, char** argv) {
   w.kv("skew_quantum", quantum);
   w.kv("adaptive_window", true);
   w.kv("inline_strands", true);
-  w.kv("host_cpus", static_cast<std::uint64_t>(host_cpus));
-  // Cache-representation defaults in effect (SimParams, engine.h).
-  {
-    const sim::SimParams defaults;
-    w.key("cache_rep").begin_object();
-    w.kv("simd_probes", defaults.simd_probes);
-    w.kv("presence_filter", defaults.presence_filter);
-    w.kv("packed_lru", defaults.packed_lru);
-    w.end_object();
-  }
+  w.kv("host_cpus",
+       static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  // Cache-representation defaults in effect (CacheOptions, cache.h).
+  w.key("cache_rep").begin_object();
+  w.kv("presence_filter", sim::CacheOptions{}.presence_filter);
+  w.end_object();
   // Measured at the seed of this change series (commit 00f9302, same
   // machine/kernel/n/quantum): 9.2M simulated accesses per host-second.
   w.kv("baseline_accesses_per_sec_at_00f9302", 9200000);
   w.key("xeon7560_fig4").begin_object();
-  emit(w, "host_threads_1", serial);
-  emit(w, "host_threads_4", par4, multi_thread_timing);
-  emit(w, "host_threads_1_fixed_quantum", fixed_q);
-  w.kv("parallel_equals_serial", true);
+  emit(w, "serial", serial);
+  emit(w, "fixed_quantum", fixed_q);
   w.kv("adaptive_equals_fixed", true);
   w.kv("adaptive_equals_fixed_schedulers", "WS,PWS,SB,SB-D");
   w.end_object();
   w.key("huge64_4level").begin_object();
   w.kv("n", huge_n);
-  emit(w, "host_threads_1", huge1);
-  emit(w, "host_threads_8", huge8, multi_thread_timing);
-  w.kv("parallel_equals_serial", true);
+  emit(w, "serial", huge1);
   w.end_object();
   w.end_object();
 

@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   std::int64_t n = 0;
   std::int64_t threads = -1;
   std::int64_t sockets = 0;  // memory sockets (bandwidth); 0 = all
-  std::int64_t host_threads = 1;
   std::int64_t quantum = 0;  // 0 = SimParams default
   std::int64_t seed = 12345;
   double sigma = 0.5, mu = 0.2;
@@ -57,9 +56,6 @@ int main(int argc, char** argv) {
   cli.add_int("threads", &threads, "worker count (-1 = all)");
   cli.add_int("sockets", &sockets,
               "memory sockets in use (simulator bandwidth throttle)");
-  cli.add_int("host-threads", &host_threads,
-              "host threads executing simulator window phases (results are "
-              "identical for every value)");
   cli.add_int("quantum", &quantum,
               "simulator skew quantum in cycles (0 = default)");
   cli.add_int("seed", &seed, "input seed");
@@ -171,7 +167,6 @@ int main(int argc, char** argv) {
   } else {
     sim::SimParams sp;
     sp.num_threads = static_cast<int>(threads);
-    sp.host_threads = static_cast<int>(host_threads);
     if (quantum > 0) sp.skew_quantum = static_cast<std::uint64_t>(quantum);
     for (int s = 0; s < sockets; ++s) sp.memory.allowed_sockets.push_back(s);
     sim::SimEngine engine(topo, sp);

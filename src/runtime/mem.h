@@ -79,12 +79,13 @@ inline void work(std::uint64_t cycles) {
 /// virtual core (keyed by AccessSink::stream_id() of the installed sink).
 /// Arrays allocated inside a simulated strand come from the owning core's
 /// stream, so their addresses are a pure function of that core's
-/// deterministic execution — not of how window phases interleave on host
-/// threads. Without this, a kernel that allocates scratch arrays mid-run
-/// would see different page→socket homes under different host_threads
-/// values, breaking the engine's bit-identical-results guarantee. The
-/// engine calls reset_transient() at the start of every run so repeated
-/// runs in one process replay identical addresses.
+/// deterministic execution — not of the order in which the engine runs
+/// the shards of a window phase, which are independent of each other.
+/// Without this, a kernel that allocates scratch arrays mid-run would see
+/// its page→socket homes move with any change to that order, though no
+/// simulated event changed. The engine calls reset_transient() at the
+/// start of every run so repeated runs in one process replay identical
+/// addresses.
 namespace arena {
 /// Transient streams, hence the largest virtual-core count a simulation
 /// may use: 2048, the largest shipped config (huge128/huge256). The

@@ -1,7 +1,6 @@
 #include "sim/cache.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace sbs::sim {
 
@@ -21,29 +20,6 @@ Cache::Cache(std::uint64_t size_bytes, std::uint32_t line_bytes,
   tags_.assign(num_sets_ * assoc_, 0);
   meta_.assign(num_sets_ * assoc_, Meta{});
 
-  probe_ = simd::select_probe_impl(options.simd_probes);
-  if (probe_ == simd::ProbeImpl::kAvx2 && assoc_ <= kAvx2MinAssoc) {
-    // The AVX2 scan lives behind a real function call (its target
-    // attribute blocks inlining into find_way), and at the preset
-    // associativities (8–32) the call overhead measures worse than the
-    // inline SSE2 loop it replaces — docs/PERF.md §7. Only very wide sets
-    // (fully-associative test caches) amortize the call.
-    probe_ = simd::ProbeImpl::kSse2;
-  }
-  lru_ = !options.packed_lru  ? LruMode::kRotate
-         : assoc_ <= 8       ? LruMode::kOrderWord
-                             : LruMode::kStamps;
-  if (lru_ == LruMode::kOrderWord) {
-    for (std::uint32_t p = 0; p < assoc_; ++p) {
-      order_init_ |= static_cast<std::uint64_t>(p) << (4 * p);
-    }
-    order_.assign(num_sets_, order_init_);
-  } else if (lru_ == LruMode::kStamps) {
-    stamps_.assign(num_sets_ * assoc_, 0);
-    clock_.assign(num_sets_, 0);
-    mru_.assign(num_sets_, 0);
-  }
-
   const std::uint64_t tag_bytes = num_sets_ * assoc_ * sizeof(std::uint64_t);
   filter_on_ =
       options.presence_filter && tag_bytes >= options.filter_min_tag_bytes;
@@ -59,13 +35,13 @@ bool Cache::probe_and_touch(std::uint64_t line, bool mark_dirty,
     return false;
   }
   std::uint64_t* tags = tags_at(set);
-  const int w = find_way_mru(set, tags, key_of(line));
+  const int w = find_way(tags, key_of(line));
   if (w < 0) return false;
   Meta* meta = meta_at(set);
   if (mark_dirty) meta[w].dirty = 1;
   if (flags != nullptr) *flags = meta[w].flags;
   if (holders != nullptr) *holders = meta[w].holders;
-  touch_way(set, tags, meta, static_cast<std::uint32_t>(w));
+  if (w > 0) rotate_to_front(tags, meta, static_cast<std::uint32_t>(w));
   return true;
 }
 
@@ -73,79 +49,24 @@ void Cache::insert_line(std::uint64_t set, std::uint64_t* tags, Meta* meta,
                         std::uint64_t line, bool dirty, std::uint8_t flags,
                         Evicted* out) {
   *out = Evicted{};
-  const Meta filled{0, static_cast<std::uint8_t>(dirty ? 1 : 0), flags};
-  switch (lru_) {
-    case LruMode::kOrderWord: {
-      // Victim = the slot named by the LRU-end nibble: either the least
-      // recently touched valid way, or an invalid way (invalidate() demotes
-      // freed slots to the back, so free slots are always consumed first —
-      // the same invariant the rotate representation keeps physically).
-      std::uint64_t& ord = order_[set];
-      const std::uint32_t slot =
-          static_cast<std::uint32_t>(ord >> (4 * (assoc_ - 1))) & 0xF;
-      const std::uint64_t vt = tags[slot];
-      if (vt != 0) {
-        out->valid = true;
-        out->line = vt >> 1;
-        out->dirty = meta[slot].dirty != 0;
-        out->holders = meta[slot].holders;
-        if (filter_on_) filter_sub(set, out->line);
-        --resident_;
-      }
-      tags[slot] = key_of(line);
-      meta[slot] = filled;
-      ord = order_touch(ord, assoc_ - 1, slot);
-      break;
-    }
-    case LruMode::kStamps: {
-      // Victim = minimum stamp, one scan. Free ways carry stamp 0 (initial
-      // state, and invalidate() re-zeroes) while valid stamps are ≥ 1, so
-      // the minimum is the lowest-indexed free way when one exists — the
-      // way find_way(tags, 0) would pick, matching rotate mode's
-      // no-eviction-while-a-way-is-free invariant — and otherwise the
-      // unique least recently touched way (valid stamps never tie).
-      const std::uint32_t* st = stamps_.data() + set * assoc_;
-      std::uint32_t slot = 0;
-      for (std::uint32_t w = 1; w < assoc_; ++w) {
-        if (st[w] < st[slot]) slot = w;
-      }
-      const std::uint64_t vt = tags[slot];
-      if (vt != 0) {
-        out->valid = true;
-        out->line = vt >> 1;
-        out->dirty = meta[slot].dirty != 0;
-        out->holders = meta[slot].holders;
-        if (filter_on_) filter_sub(set, out->line);
-        --resident_;
-      }
-      tags[slot] = key_of(line);
-      meta[slot] = filled;
-      stamps_[set * assoc_ + slot] = next_stamp(set);
-      mru_[set] = slot;
-      break;
-    }
-    default: {
-      // Rotate: victim = LRU way (back). If any way is invalid the set is
-      // not full; use the last slot either way since invalid ways sink to
-      // the back on invalidate().
-      const std::uint64_t vt = tags[assoc_ - 1];
-      if (vt != 0) {
-        out->valid = true;
-        out->line = vt >> 1;
-        out->dirty = meta[assoc_ - 1].dirty != 0;
-        out->holders = meta[assoc_ - 1].holders;
-        if (filter_on_) filter_sub(set, out->line);
-        --resident_;
-      }
-      for (std::uint32_t i = assoc_ - 1; i > 0; --i) {
-        tags[i] = tags[i - 1];
-        meta[i] = meta[i - 1];
-      }
-      tags[0] = key_of(line);
-      meta[0] = filled;
-      break;
-    }
+  // Victim = the LRU way (back). If any way is invalid the set is not
+  // full, and the back way is one of them: invalid ways sink to the back
+  // on invalidate().
+  const std::uint64_t vt = tags[assoc_ - 1];
+  if (vt != 0) {
+    out->valid = true;
+    out->line = vt >> 1;
+    out->dirty = meta[assoc_ - 1].dirty != 0;
+    out->holders = meta[assoc_ - 1].holders;
+    if (filter_on_) filter_sub(set, out->line);
+    --resident_;
   }
+  for (std::uint32_t i = assoc_ - 1; i > 0; --i) {
+    tags[i] = tags[i - 1];
+    meta[i] = meta[i - 1];
+  }
+  tags[0] = key_of(line);
+  meta[0] = Meta{0, static_cast<std::uint8_t>(dirty ? 1 : 0), flags};
   if (filter_on_) filter_add(set, line);
   ++resident_;
   ++generation_;
@@ -169,10 +90,10 @@ bool Cache::fill_if_absent(std::uint64_t line, bool dirty, Evicted* evicted,
   if (filter_on_ && filter_absent(set, bucket_of_hash(h))) {
     ++filter_skips_;
   } else {
-    const int w = find_way_mru(set, tags, key_of(line));
+    const int w = find_way(tags, key_of(line));
     if (w >= 0) {
       if (dirty) meta[w].dirty = 1;
-      touch_way(set, tags, meta, static_cast<std::uint32_t>(w));
+      if (w > 0) rotate_to_front(tags, meta, static_cast<std::uint32_t>(w));
       *evicted = Evicted{};
       return false;
     }
@@ -183,7 +104,7 @@ bool Cache::fill_if_absent(std::uint64_t line, bool dirty, Evicted* evicted,
 
 bool Cache::set_flags(std::uint64_t line, std::uint8_t flags) {
   const std::uint64_t set = set_index(line);
-  const int w = find_way_mru(set, tags_at(set), key_of(line));
+  const int w = find_way(tags_at(set), key_of(line));
   if (w < 0) return false;
   meta_at(set)[w].flags = flags;
   return true;
@@ -192,7 +113,7 @@ bool Cache::set_flags(std::uint64_t line, std::uint8_t flags) {
 int Cache::mark_shared(std::uint64_t line, std::uint8_t bits,
                        std::uint8_t* old_flags) {
   const std::uint64_t set = set_index(line);
-  const int w = find_way_mru(set, tags_at(set), key_of(line));
+  const int w = find_way(tags_at(set), key_of(line));
   if (w < 0) return -1;
   Meta& m = meta_at(set)[w];
   if (old_flags != nullptr) *old_flags = m.flags;
@@ -218,34 +139,13 @@ bool Cache::invalidate(std::uint64_t line, bool* was_dirty,
   Meta* meta = meta_at(set);
   if (was_dirty != nullptr) *was_dirty = meta[w].dirty != 0;
   if (holders != nullptr) *holders = meta[w].holders;
-  switch (lru_) {
-    case LruMode::kOrderWord: {
-      std::uint64_t& ord = order_[set];
-      const std::uint32_t s = static_cast<std::uint32_t>(w);
-      tags[w] = 0;
-      meta[w] = Meta{};
-      ord = order_to_back(ord, order_pos(ord, s), s);
-      break;
-    }
-    case LruMode::kStamps:
-      // Zeroing the stamp marks the way free for the fill-victim scan:
-      // stamp 0 undercuts every valid stamp (≥ 1), so free ways are
-      // consumed before any eviction, lowest index first.
-      tags[w] = 0;
-      meta[w] = Meta{};
-      stamps_[set * assoc_ + static_cast<std::uint32_t>(w)] = 0;
-      break;
-    default:
-      // Shift the tail up so invalid ways stay at the back (LRU end).
-      for (std::uint32_t i = static_cast<std::uint32_t>(w); i + 1 < assoc_;
-           ++i) {
-        tags[i] = tags[i + 1];
-        meta[i] = meta[i + 1];
-      }
-      tags[assoc_ - 1] = 0;
-      meta[assoc_ - 1] = Meta{};
-      break;
+  // Shift the tail up so invalid ways stay at the back (LRU end).
+  for (std::uint32_t i = static_cast<std::uint32_t>(w); i + 1 < assoc_; ++i) {
+    tags[i] = tags[i + 1];
+    meta[i] = meta[i + 1];
   }
+  tags[assoc_ - 1] = 0;
+  meta[assoc_ - 1] = Meta{};
   if (filter_on_) filter_sub(set, line);
   --resident_;
   ++generation_;
@@ -254,7 +154,7 @@ bool Cache::invalidate(std::uint64_t line, bool* was_dirty,
 
 std::uint16_t Cache::set_holder_bit(std::uint64_t line, std::uint32_t bit) {
   const std::uint64_t set = set_index(line);
-  const int w = find_way_mru(set, tags_at(set), key_of(line));
+  const int w = find_way(tags_at(set), key_of(line));
   SBS_CHECK_MSG(w >= 0, "set_holder_bit on a non-resident line (inclusion)");
   Meta& m = meta_at(set)[w];
   const std::uint16_t old = m.holders;
@@ -264,7 +164,7 @@ std::uint16_t Cache::set_holder_bit(std::uint64_t line, std::uint32_t bit) {
 
 std::uint16_t* Cache::holder_mask(std::uint64_t line) {
   const std::uint64_t set = set_index(line);
-  const int w = find_way_mru(set, tags_at(set), key_of(line));
+  const int w = find_way(tags_at(set), key_of(line));
   return w < 0 ? nullptr : &meta_at(set)[w].holders;
 }
 
@@ -275,30 +175,9 @@ bool Cache::contains(std::uint64_t line) const {
   return find_way(tags_at(set), key_of(line)) >= 0;
 }
 
-void Cache::rebase_stamps(std::uint64_t set) {
-  // Rank-compress the set's stamps, preserving their relative order, and
-  // pull the clock back to assoc_. Zero stamps (free ways) must stay zero
-  // — stamp 0 is what the fill-victim scan reads as "free".
-  std::uint32_t* st = stamps_.data() + set * assoc_;
-  std::vector<std::uint32_t> idx(assoc_);
-  std::iota(idx.begin(), idx.end(), 0u);
-  std::sort(idx.begin(), idx.end(), [st](std::uint32_t a, std::uint32_t b) {
-    return st[a] < st[b];
-  });
-  std::uint32_t rank = 0;
-  for (std::uint32_t r = 0; r < assoc_; ++r) {
-    if (st[idx[r]] != 0) st[idx[r]] = ++rank;
-  }
-  clock_[set] = assoc_;
-}
-
 void Cache::clear() {
   std::fill(tags_.begin(), tags_.end(), 0);
   std::fill(meta_.begin(), meta_.end(), Meta{});
-  std::fill(order_.begin(), order_.end(), order_init_);
-  std::fill(stamps_.begin(), stamps_.end(), 0u);
-  std::fill(clock_.begin(), clock_.end(), 0u);
-  std::fill(mru_.begin(), mru_.end(), 0u);
   std::fill(filter_.begin(), filter_.end(), 0u);
   resident_ = 0;
   filter_skips_ = 0;

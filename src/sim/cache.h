@@ -12,71 +12,41 @@
 // always have the valid bit set), so the scan needs no separate valid test
 // — and the same scan with key 0 finds a free way.
 //
-// Three independent representation choices, all selected at construction
-// via CacheOptions and all bit-identical in observable behavior (hit/miss
-// outcomes, eviction victims, counters) — asserted end to end by
-// tests/test_sim_probe.cpp:
+// Recency is the physical order of the ways: way 0 is MRU, way assoc-1
+// the LRU victim. A hit rotates the way to the front, a fill shifts the
+// set down one and writes way 0, and an invalidation shifts the tail up so
+// freed ways sink to the back, where the next fill consumes them before it
+// evicts any valid line. The order doubles as a scan accelerator: the
+// early-exit tag scan starts at way 0, where the hot lines sit, so a hit
+// on the line a set last touched costs one compare.
 //
-//   - Probe width (simd_probes): the tag scan runs scalar, SSE2 (2 ways
-//     per compare), or AVX2 (4 ways) — resolved once per cache from
-//     simd::select_probe_impl(). A line appears at most once per set, so
-//     block-at-a-time first-match equals the scalar early exit.
-//
-//   - Recency encoding (packed_lru): classically the ways were kept
-//     physically LRU-ordered (front = MRU) and every hit rotated both the
-//     tag and metadata arrays — O(assoc) stores per hit. Packed mode keeps
-//     slots fixed and tracks recency out of band: for assoc ≤ 8 a per-set
-//     u64 ordering word of slot nibbles (position 0 = MRU, position
-//     assoc-1 = LRU victim) updated with a couple of shifts/masks; above
-//     that, per-way u32 age stamps with a per-set clock, where the fill
-//     victim is a free way if one exists, else the minimum stamp. Both
-//     provably select the same victim as the rotate representation: the
-//     ordering word mirrors the physical order move-for-move, and stamps
-//     are unique so min-stamp == least-recently-touched, while free ways
-//     (stamp 0) undercut every valid stamp, matching rotate mode's
-//     invalid-ways-sink-to-back invariant. Rotate remains the default:
-//     its physical recency order doubles as a scan accelerator (hot lines
-//     sit where the scan looks first), which measures faster end to end
-//     at the preset associativities (docs/PERF.md §7); packed mode is the
-//     right trade only for very wide sets.
-//
-//   - Line-presence filter (presence_filter): big outer-level tag arrays
-//     (MBs) miss the host cache by construction, and at those levels the
-//     common probe outcome is a guaranteed miss. Caches whose tag array is
-//     at least filter_min_tag_bytes keep a per-set 16-bucket counting
-//     filter (one u64 per set, 4-bit counters, bucket drawn from hash bits
-//     disjoint from the set index) maintained on fill/evict/invalidate. A
-//     zero bucket proves the line absent, so the probe skips the cold tag
-//     scan entirely — counted in filter_skips(). Counters saturate sticky
-//     at 15 (a saturated bucket is never decremented and answers "maybe"
-//     forever): soundness is preserved, only filter effectiveness decays,
-//     and with ≤ 32 ways spread over 16 buckets saturation is vanishingly
-//     rare. The filter changes no observable behavior — it only skips
-//     scans that were guaranteed to miss.
+// Line-presence filter (CacheOptions::presence_filter), the one
+// representation option: big outer-level tag arrays (MBs) miss the host
+// cache by construction, and at those levels the common probe outcome is a
+// guaranteed miss. Caches whose tag array is at least filter_min_tag_bytes
+// keep a per-set 16-bucket counting filter (one u64 per set, 4-bit counters,
+// bucket drawn from hash bits disjoint from the set index) maintained on
+// fill/evict/invalidate. A zero bucket proves the line absent, so the probe
+// skips the cold tag scan entirely — counted in filter_skips(). Counters
+// saturate sticky at 15 (a saturated bucket is never decremented and answers
+// "maybe" forever): soundness is preserved, only filter effectiveness
+// decays, and with ≤ 32 ways spread over 16 buckets saturation is
+// vanishingly rare. The filter changes no observable behavior — it only
+// skips scans that were guaranteed to miss. tests/test_sim_probe.cpp asserts
+// end to end that filtered and unfiltered runs are bit-identical.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "sim/simd.h"
 #include "util/assert.h"
 
 namespace sbs::sim {
 
-/// Representation knobs for Cache, resolved once at construction. All four
-/// choices are observable-behavior-preserving; see the file comment.
-/// Plumbed from SimParams (engine.h) via MemoryParams; SBS_SIM_SCALAR=1 in
-/// the environment forces simd_probes off for the whole memory system.
+/// Representation knobs for Cache, resolved once at construction; see the
+/// file comment. Plumbed from MemoryParams::cache (memory_system.h).
 struct CacheOptions {
-  bool simd_probes = true;
   bool presence_filter = true;
-  /// Off by default: the packed encodings touch in O(1) but lose the
-  /// rotate layout's self-organizing scan order, and measure a few percent
-  /// slower end to end on the preset machines (docs/PERF.md §7). Kept
-  /// fully supported and equivalence-tested for wide-associativity
-  /// configurations where the trade flips.
-  bool packed_lru = false;
   /// Minimum tag-array footprint (bytes) before a presence filter is worth
   /// its upkeep; the default enables it on the multi-MB outer levels and
   /// leaves the host-cache-resident L1/L2 tag arrays alone. Tests force
@@ -180,34 +150,24 @@ class Cache {
   std::uint64_t generation() const { return generation_; }
 
   // --- representation introspection (benches / tests / summaries) ---
-  simd::ProbeImpl probe_impl() const { return probe_; }
-  bool packed_lru() const { return lru_ != LruMode::kRotate; }
   bool filter_enabled() const { return filter_on_; }
   /// Tag scans skipped because the presence filter proved the line absent
   /// (counted on the probe paths: probe_and_touch / fill_if_absent /
-  /// invalidate — not in const contains()). Deterministic: the probe
-  /// sequence is identical for every host-thread count and window policy,
-  /// so this is as reproducible as the coherence counters.
+  /// invalidate — not in const contains()). Deterministic: a function of
+  /// the probe sequence alone, so as reproducible as the coherence
+  /// counters.
   std::uint64_t filter_skips() const { return filter_skips_; }
 
   void clear();
 
  private:
-  /// Cold per-way metadata, parallel to tags_. In rotate mode it shifts in
-  /// lockstep with the tags; in packed modes slots are fixed.
+  /// Cold per-way metadata, parallel to tags_ and shifted in lockstep
+  /// with it.
   struct Meta {
     std::uint16_t holders = 0;  ///< child holder mask (see above)
     std::uint8_t dirty = 0;
     std::uint8_t flags = 0;  ///< sharing flags (kFlag*)
   };
-
-  /// How recency is represented (file comment). Resolved from
-  /// CacheOptions::packed_lru and the associativity at construction.
-  enum class LruMode : std::uint8_t { kRotate, kOrderWord, kStamps };
-
-  /// Below this associativity the AVX2 probe's call overhead beats its
-  /// width advantage and the constructor demotes it to inline SSE2.
-  static constexpr std::uint32_t kAvx2MinAssoc = 64;
 
   static constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ULL;
 
@@ -228,55 +188,18 @@ class Cache {
     return static_cast<std::uint32_t>(h >> 28) & 0xF;
   }
 
-  /// Index of `line` within its set, or -1 — the hot scan, dispatched on
-  /// the probe tier resolved at construction (simd.h). All tiers return
-  /// the first match; tags within a set are unique, so they agree.
-  /// The AVX2 variant lives behind a real call (its target attribute
-  /// blocks inlining here), so the constructor only selects it for wide
-  /// sets, where the 4-ways-per-compare scan amortizes the call; narrow
-  /// sets use the inline SSE2 path.
+  /// Index of `line`'s key within its set, or -1: the early-exit scan from
+  /// the MRU way. Probe traffic is heavily skewed toward the line a set
+  /// last touched — from temporal locality, and because the hierarchy walk
+  /// re-finds the line it just probed or filled (set_holder_bit after every
+  /// path fill, flag updates after a sweep, dirty propagation into a
+  /// parent) — and that line sits in way 0, where the scan starts.
   int find_way(const std::uint64_t* tags, std::uint64_t key) const {
-    switch (probe_) {
-      case simd::ProbeImpl::kAvx2:
-        return simd::find_u64_avx2(tags, assoc_, key);
-      case simd::ProbeImpl::kSse2:
-        return simd::find_u64_sse2(tags, assoc_, key);
-      default:
-        return simd::find_u64_scalar(tags, assoc_, key);
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+      if (tags[w] == key) return static_cast<int>(w);
     }
+    return -1;
   }
-
-  /// find_way with the set's MRU way checked first. Probe traffic is
-  /// heavily skewed toward the most recently touched line of a set — both
-  /// from temporal locality and because the hierarchy walk re-finds the
-  /// line it just probed or filled (set_holder_bit after every path fill,
-  /// flag updates after a sweep, dirty propagation into a parent). The
-  /// rotate representation exploits that by construction: the last-touched
-  /// line sits physically in way 0, where the scan looks first. The packed
-  /// modes recover the same one-compare fast path explicitly — the
-  /// ordering word names the MRU slot in its low nibble, and stamp mode
-  /// tracks it in a per-set word — verified by tag compare, so a stale
-  /// hint (line evicted or invalidated since) safely falls through to the
-  /// full scan. The front check also pays under SIMD probes: an MRU hit
-  /// skips the vector setup entirely.
-  int find_way_mru(std::uint64_t set, const std::uint64_t* tags,
-                   std::uint64_t key) const {
-    std::uint32_t m = 0;
-    switch (lru_) {
-      case LruMode::kOrderWord:
-        m = static_cast<std::uint32_t>(order_[set]) & 0xF;
-        break;
-      case LruMode::kStamps:
-        m = mru_[set];
-        break;
-      default:
-        break;  // rotate: MRU is physically way 0
-    }
-    if (tags[m] == key) return static_cast<int>(m);
-    return find_way(tags, key);
-  }
-
-  // --- rotate (legacy) representation helpers ---
 
   /// Rotate way `w` of a set to MRU (front), shifting [0, w) down by one.
   static void rotate_to_front(std::uint64_t* tags, Meta* meta,
@@ -290,59 +213,6 @@ class Cache {
     tags[0] = tag;
     meta[0] = m;
   }
-
-  // --- ordering-word representation helpers (assoc ≤ 8) ---
-  // order_[set] is a permutation of the slot indices, one nibble per
-  // recency position: nibble 0 (LSB) names the MRU slot, nibble assoc-1
-  // the LRU victim. Nibbles at positions ≥ assoc are unused and zero.
-
-  /// Recency position of slot `s` in `word` — SWAR search for the nibble
-  /// equal to s. Nibble values are ≤ 7, so the zero-nibble borrow trick
-  /// can only false-positive *above* a true match (a borrow starts only at
-  /// a genuine zero), and countr_zero picks the lowest flag: the real one.
-  /// The permutation contains every slot < assoc, so a match exists; slot
-  /// 0 also "matches" the unused zero nibbles, but those sit above its
-  /// true position and lose to countr_zero.
-  static std::uint32_t order_pos(std::uint64_t word, std::uint32_t s) {
-    const std::uint64_t x = word ^ (s * 0x1111111111111111ULL);
-    const std::uint64_t z =
-        (x - 0x1111111111111111ULL) & ~x & 0x8888888888888888ULL;
-    return static_cast<std::uint32_t>(std::countr_zero(z)) >> 2;
-  }
-
-  /// Promote the slot at position `p` (value `s`) to MRU: nibbles [0, p)
-  /// slide up one position, s lands at position 0. Mirrors
-  /// rotate_to_front's index motion exactly, without touching the arrays.
-  static std::uint64_t order_touch(std::uint64_t word, std::uint32_t p,
-                                   std::uint64_t s) {
-    if (p == 0) return word;
-    const std::uint64_t below = (1ULL << (4 * p)) - 1;
-    const std::uint64_t upto = (1ULL << (4 * (p + 1))) - 1;
-    return (word & ~upto) | ((word & below) << 4) | s;
-  }
-
-  /// Demote the slot at position `p` (value `s`) to the LRU end: nibbles
-  /// (p, assoc-1] slide down one position, s lands at position assoc-1 —
-  /// the invalid-ways-sink-to-back motion of the rotate representation's
-  /// invalidate().
-  std::uint64_t order_to_back(std::uint64_t word, std::uint32_t p,
-                              std::uint64_t s) const {
-    const std::uint64_t below = (1ULL << (4 * p)) - 1;
-    const std::uint64_t valid = (1ULL << (4 * (assoc_ - 1))) - 1;
-    return (word & below) | ((word >> 4) & (valid & ~below)) |
-           (s << (4 * (assoc_ - 1)));
-  }
-
-  // --- age-stamp representation helpers (assoc > 8) ---
-
-  /// Next stamp for a set, rank-compressing the set's stamps in the
-  /// (astronomically rare) event the 32-bit clock is about to wrap.
-  std::uint32_t next_stamp(std::uint64_t set) {
-    std::uint32_t& clk = clock_[set];
-    if (clk == ~std::uint32_t{0}) rebase_stamps(set);
-    return ++clk;
-  }
-  void rebase_stamps(std::uint64_t set);
 
   // --- presence-filter helpers (only called when filter_on_) ---
 
@@ -360,27 +230,6 @@ class Cache {
     const std::uint64_t n = (f >> sh) & 0xF;
     SBS_ASSERT(n != 0);         // every resident line was counted in
     if (n != 0xF) f -= 1ULL << sh;  // sticky at saturation
-  }
-
-  /// Make way `w` of `set` MRU under the active recency representation.
-  /// Returns the way the line occupies afterwards: w under the packed
-  /// modes (slots are fixed), 0 under rotate (the arrays moved).
-  std::uint32_t touch_way(std::uint64_t set, std::uint64_t* tags, Meta* meta,
-                          std::uint32_t w) {
-    switch (lru_) {
-      case LruMode::kOrderWord: {
-        std::uint64_t& ord = order_[set];
-        ord = order_touch(ord, order_pos(ord, w), w);
-        return w;
-      }
-      case LruMode::kStamps:
-        stamps_[set * assoc_ + w] = next_stamp(set);
-        mru_[set] = w;
-        return w;
-      default:
-        if (w > 0) rotate_to_front(tags, meta, w);
-        return 0;
-    }
   }
 
   /// Insert `line` into `set` (absent by contract), evicting the LRU
@@ -405,16 +254,9 @@ class Cache {
   std::uint64_t resident_ = 0;
   std::uint64_t generation_ = 0;
   std::uint64_t filter_skips_ = 0;
-  simd::ProbeImpl probe_ = simd::ProbeImpl::kScalar;
-  LruMode lru_ = LruMode::kRotate;
   bool filter_on_ = false;
-  std::uint64_t order_init_ = 0;  ///< identity permutation (order-word mode)
   std::vector<std::uint64_t> tags_;  ///< num_sets_*assoc_, (line<<1)|valid
   std::vector<Meta> meta_;           ///< parallel to tags_
-  std::vector<std::uint64_t> order_;   ///< per set (order-word mode only)
-  std::vector<std::uint32_t> stamps_;  ///< per way (stamp mode only)
-  std::vector<std::uint32_t> clock_;   ///< per set (stamp mode only)
-  std::vector<std::uint32_t> mru_;     ///< per set (stamp mode only)
   std::vector<std::uint64_t> filter_;  ///< per set (filter_on_ only)
 };
 

@@ -29,7 +29,7 @@ struct SimEngine::VCore final : mem::AccessSink {
   // running through them — on streaming kernels this lets whole strands
   // finish in a single resume instead of one fiber round trip per window.
   // The gate reads only the frozen window horizon and the core's own memo
-  // state, so the decision is identical for every host_threads value.
+  // state, so the decision does not depend on the order shards run in.
   void touch(std::uintptr_t addr, std::uint64_t bytes, bool write) override {
     if (clock > engine->horizon_ &&
         !engine->memory_->would_absorb(tid, addr, write)) {
@@ -124,17 +124,8 @@ SimEngine::SimEngine(const machine::Topology& topo, SimParams params)
                 "SimEngine: more virtual cores than arena streams");
   wedge_limit_ =
       (std::uint64_t{1} << 24) * static_cast<std::uint64_t>(num_threads_);
-  params_.memory.cache.simd_probes = params_.simd_probes;
-  params_.memory.cache.presence_filter = params_.presence_filter;
-  params_.memory.cache.packed_lru = params_.packed_lru;
   memory_ = std::make_unique<MemorySystem>(topo, params_.memory);
-
-  host_threads_ = std::max(1, params_.host_threads);
-  host_threads_ = std::min(host_threads_, memory_->num_shards());
   shard_busy_.resize(static_cast<std::size_t>(memory_->num_shards()));
-  arenas_.reserve(static_cast<std::size_t>(host_threads_));
-  for (int h = 0; h < host_threads_; ++h)
-    arenas_.push_back(std::make_unique<runtime::JobArena>());
 
   cores_.reserve(static_cast<std::size_t>(num_threads_));
   for (int t = 0; t < num_threads_; ++t) {
@@ -142,19 +133,9 @@ SimEngine::SimEngine(const machine::Topology& topo, SimParams params)
     cores_.back()->shard = memory_->shard_of_thread(t);
     cores_.back()->leaf_pos = topo.config().leaf_position(t);
   }
-
-  pool_.reserve(static_cast<std::size_t>(host_threads_ - 1));
-  for (int h = 1; h < host_threads_; ++h)
-    pool_.emplace_back([this, h] { worker_loop(h); });
 }
 
 SimEngine::~SimEngine() {
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    pool_stop_ = true;
-  }
-  pool_go_.notify_all();
-  for (std::thread& t : pool_) t.join();
   for (auto& core : cores_) {
     if (core->fiber) core->fiber->abandon();
   }
@@ -302,35 +283,6 @@ void SimEngine::undo_pushed(std::uint64_t clk, int tid) {
   push_log_.clear();
 }
 
-void SimEngine::worker_pass(int h) {
-  runtime::JobArena::Scope arena_scope(arenas_[static_cast<std::size_t>(h)].get());
-  const int n_shards = static_cast<int>(shard_busy_.size());
-  for (int s = h; s < n_shards; s += host_threads_) {
-    for (VCore* core : shard_busy_[static_cast<std::size_t>(s)]) {
-      mem::SinkScope sink(core);
-      while (!core->strand_done && core->clock <= horizon_)
-        core->fiber->resume();
-    }
-  }
-}
-
-void SimEngine::worker_loop(int h) {
-  std::uint64_t seen = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      pool_go_.wait(lk, [&] { return pool_stop_ || pool_gen_ != seen; });
-      if (pool_stop_) return;
-      seen = pool_gen_;
-    }
-    worker_pass(h);
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      if (--pool_pending_ == 0) pool_done_.notify_one();
-    }
-  }
-}
-
 void SimEngine::finish_strand(VCore& core) {
   using trace::EventKind;
   trace::Recorder* const rec = recorder_.get();
@@ -397,7 +349,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
   coalesce_limit_ = 1;
   windows_executed_ = pump_passes_ = window_merges_ = inline_strands_run_ = 0;
   inline_done_.clear();
-  runtime::JobArena::Scope arena_scope(arenas_[0].get());
+  runtime::JobArena::Scope arena_scope(&arena_);
 
   sched.start(topo_, num_threads_);
   StrandOps::Root root = StrandOps::make_root(root_job);
@@ -568,20 +520,13 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     if (!any_busy) continue;
     ++windows_executed_;
 
-    // Window phase: run every busy core to the horizon, shards spread over
-    // the host workers (each shard's cores on exactly one worker).
-    if (host_threads_ > 1) {
-      {
-        std::lock_guard<std::mutex> lk(pool_mu_);
-        pool_pending_ = host_threads_ - 1;
-        ++pool_gen_;
+    // Window phase: run every busy core to the horizon, shard by shard.
+    for (const auto& list : shard_busy_) {
+      for (VCore* core : list) {
+        mem::SinkScope sink(core);
+        while (!core->strand_done && core->clock <= horizon_)
+          core->fiber->resume();
       }
-      pool_go_.notify_all();
-      worker_pass(0);
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      pool_done_.wait(lk, [&] { return pool_pending_ == 0; });
-    } else {
-      worker_pass(0);
     }
 
     // Barrier: collect finished strands (their done/settle/add runs at the
@@ -605,9 +550,8 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     // deltas — defer it, doubling the merge-free budget each time a full
     // budget passes without contact, and collapse back to one window on
     // contact. The decision reads only simulation-determined shard state,
-    // so it is identical for every host_threads value, and eliding an
-    // identity barrier cannot change results — makespan and all memory
-    // counters stay bit-identical to adaptive_window=false.
+    // and eliding an identity barrier cannot change results — makespan and
+    // all memory counters stay bit-identical to adaptive_window=false.
     ++windows_since_merge_;
     if (params_.adaptive_window && memory_->window_quiet() &&
         windows_since_merge_ < coalesce_limit_) {

@@ -12,15 +12,13 @@
 // the window (or the strand completes): each instrumented memory access
 // walks the simulated cache hierarchy and advances the clock.
 //
-// The window phase is where host parallelism comes in (SimParams::
-// host_threads): cores are grouped by their depth-1 (socket) subtree —
-// the memory system's shards — and each shard's cores execute on one host
-// worker, shards spread round-robin over workers. Within a shard cores run
-// sequentially in (clock, thread) order; across shards all simulated state
-// is disjoint for the duration of the window (memory_system.h), with
-// cross-shard coherence and bandwidth merged at the window barrier in
-// deterministic shard order. Results are therefore bit-identical for every
-// host_threads value, including 1 — the serial path is the same algorithm.
+// The window phase runs on the host thread that calls run(). Cores are
+// grouped by their depth-1 (socket) subtree — the memory system's shards —
+// and run shard by shard, each shard's cores in (clock, thread) order.
+// Within a window a shard touches only its own simulated state
+// (memory_system.h); cross-shard coherence and bandwidth are merged at the
+// window barrier in deterministic shard order. That deferral is part of
+// the timing model, and the committed makespans are defined by it.
 //
 // Idle fast-forward. Most pump events on a many-core machine are empty
 // polls, and a scheduler that implements Scheduler::idle_poll_ops() and
@@ -59,11 +57,8 @@
 // scheduler bookkeeping perturbs active time is thus out of scope.
 #pragma once
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "machine/topology.h"
@@ -86,9 +81,6 @@ struct SimParams {
   /// Worker count; -1 = all hardware threads of the machine.
   int num_threads = -1;
   std::size_t fiber_stack_bytes = 512 * 1024;
-  /// Host threads executing window phases; clamped to the machine's socket
-  /// count. Results are identical for every value (see file comment).
-  int host_threads = 1;
   /// Adaptive windows: elide the window-merge barrier while windows stay
   /// "quiet" (no cross-shard coherence traffic, no link bandwidth use),
   /// geometrically widening the merge-free run and shrinking back to one
@@ -103,18 +95,6 @@ struct SimParams {
   /// simulated state, and the pump defers their completion to the same
   /// barrier the fiber path uses.
   bool inline_strands = true;
-  // Cache-representation knobs, mirrored into MemoryParams::cache by the
-  // engine constructor (cache.h CacheOptions). All three are pure host-side
-  // representation choices: makespans and every coherence counter are
-  // bit-identical whichever way they are set (tests/test_sim_probe.cpp).
-  /// Vectorized tag probes (SSE2/AVX2 where available); scalar scan when
-  /// false. SBS_SIM_SCALAR=1 in the environment also forces scalar.
-  bool simd_probes = true;
-  /// Per-set line-presence filters on big outer-level tag arrays.
-  bool presence_filter = true;
-  /// Packed O(1) recency encoding instead of the rotate-to-front shuffle.
-  /// Off by default — see CacheOptions::packed_lru (cache.h).
-  bool packed_lru = false;
 };
 
 struct SimResult {
@@ -140,7 +120,6 @@ class SimEngine {
 
   const machine::Topology& topology() const { return topo_; }
   MemorySystem& memory() { return *memory_; }
-  int host_threads() const { return host_threads_; }
 
   /// Own a trace recorder: subsequent run()s record scheduler lifecycle
   /// events with virtual-cycle timestamps from the per-core clocks. Each
@@ -178,22 +157,16 @@ class SimEngine {
   /// Drain push_log_ after a scheduler call at event (clk, tid): undo every
   /// peer batch and each busy batch of a thread under a pushed node.
   void undo_pushed(std::uint64_t clk, int tid);
-  /// Resume every busy core of the shards assigned to host worker `h`
-  /// until their clocks pass horizon_ (one window phase's share).
-  void worker_pass(int h);
-  void worker_loop(int h);
 
   const machine::Topology& topo_;
   SimParams params_;
   int num_threads_;
-  int host_threads_ = 1;
   std::unique_ptr<MemorySystem> memory_;
   std::vector<std::unique_ptr<VCore>> cores_;
   std::unique_ptr<trace::Recorder> recorder_;
   runtime::Scheduler* sched_ = nullptr;
-  /// One fork/join allocation arena per host worker; strand bodies allocate
-  /// on the worker running their shard, the pump's settle() frees remotely.
-  std::vector<std::unique_ptr<runtime::JobArena>> arenas_;
+  /// The fork/join allocation arena of every strand body and settle().
+  runtime::JobArena arena_;
   std::uint64_t horizon_ = 0;  ///< yield threshold for running fibers
 
   // Adaptive-window state (SimParams::adaptive_window).
@@ -234,13 +207,6 @@ class SimEngine {
   std::vector<VCore*> peer_batches_;  ///< protected by each other
   std::uint64_t peer_period_ = 0;  ///< shortest live peer period
 
-  // Window-phase worker pool (host_threads_ - 1 threads + the pump).
-  std::vector<std::thread> pool_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_go_, pool_done_;
-  std::uint64_t pool_gen_ = 0;
-  int pool_pending_ = 0;
-  bool pool_stop_ = false;
 
   bool root_completed_ = false;
 };

@@ -43,8 +43,7 @@ class Fiber {
 
   /// Number of resume() calls so far. Each resume is one host context
   /// switch in and one out; the engine aggregates these into the
-  /// `fiber_switches` overhead counter. Counted per fiber (not per host
-  /// thread) so sharded parallel execution sums them deterministically.
+  /// `fiber_switches` overhead counter, summed over its per-core fibers.
   std::uint64_t resumes() const { return resumes_; }
 
   /// Mark a suspended fiber as abandoned so it can be destroyed without

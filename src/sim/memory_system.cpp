@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/assert.h"
 
@@ -31,16 +29,6 @@ MemorySystem::MemorySystem(const machine::Topology& topo, MemoryParams params)
       std::countr_zero(cfg.page_bytes / line_bytes_));
 
   const int leaf_depth = topo.leaf_depth();
-
-  // The escape hatch for the vectorized probe loop: SBS_SIM_SCALAR=1 forces
-  // every cache onto the scalar tag scan (CI's forced-scalar lane, and any
-  // host where the SIMD path is suspected). Read once here so a single env
-  // check covers all caches.
-  const char* scalar_env = std::getenv("SBS_SIM_SCALAR");
-  if (scalar_env != nullptr && std::strcmp(scalar_env, "0") != 0 &&
-      scalar_env[0] != '\0') {
-    params_.cache.simd_probes = false;
-  }
 
   // One Cache per cache node (depths 1..L), plus the per-node precomputation
   // the hot paths use instead of Topology queries.

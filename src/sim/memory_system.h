@@ -41,23 +41,22 @@
 // sibling sweep, the sharing-directory lookup, and the outbox entirely.
 // Windowed mode never reads the sharing directory mid-window: DRAM fills
 // start cross-unknown and writes to non-exclusive lines post a (possibly
-// redundant) barrier event, which keeps execution bit-identical for every
-// host-thread count while moving the cold directory lookups to the
-// barrier, where they pipeline behind explicit prefetches.
+// redundant) barrier event, which makes a shard's execution within a window
+// independent of every other shard's while moving the cold directory
+// lookups to the barrier, where they pipeline behind explicit prefetches.
 //
 // Sharding (docs/PERF.md "Simulator performance"): every cache belongs to
 // exactly one depth-1 (socket) subtree, so all coherence state below a
-// socket is shard-local and shards may mutate their own caches
-// concurrently. Cross-shard state is exactly two things: which *other*
-// sockets' outermost caches hold a line (a global sharing directory keyed
-// by line, maintained from outermost-cache fills/evicts) and the per-socket
-// memory links. In the default immediate mode both are applied
+// socket is shard-local. Cross-shard state is exactly two things: which
+// *other* sockets' outermost caches hold a line (a global sharing directory
+// keyed by line, maintained from outermost-cache fills/evicts) and the
+// per-socket memory links. In the default immediate mode both are applied
 // synchronously (semantically identical to the pre-sharded
 // implementation). The engine switches to windowed mode, where cross-shard
 // write-invalidations and link consumption are buffered per shard and
 // applied at window barriers via merge_window() in deterministic shard
-// order — the contract that makes parallel window execution bit-identical
-// to serial execution of the same windowed schedule.
+// order. That deferral is part of the timing model: the committed
+// makespans are defined by it.
 //
 // Hot-path fast path: a small per-thread memo of recently-accessed lines
 // short-circuits repeat accesses — the common case for streaming kernels
@@ -99,9 +98,8 @@ struct MemoryParams {
   /// Extra cycles when the home socket is not the accessor's socket (QPI
   /// hop on the paper's machine).
   std::uint32_t remote_penalty_cycles = 60;
-  /// Cache representation knobs (probe SIMD tier, presence filters, packed
-  /// LRU — cache.h). Applied to every cache instance; SBS_SIM_SCALAR=1 in
-  /// the environment forces simd_probes off regardless.
+  /// Cache representation knobs (presence filters — cache.h). Applied to
+  /// every cache instance.
   CacheOptions cache;
 };
 
@@ -162,9 +160,9 @@ class MemorySystem {
   int shard_of_thread(int thread_id) const {
     return tinfo_[static_cast<std::size_t>(thread_id)].shard;
   }
-  /// Enter/leave windowed mode. While windowed, threads of different shards
-  /// may call access() concurrently (each shard touches only its own
-  /// state); cross-shard traffic is buffered until merge_window().
+  /// Enter/leave windowed mode. While windowed, an access touches only its
+  /// own shard's state; cross-shard traffic is buffered until
+  /// merge_window().
   void set_windowed(bool on);
   /// Window barrier: fold per-shard counter deltas into counters(), apply
   /// sharing-directory updates and cross-shard invalidation events in

@@ -2,8 +2,8 @@
 // (de-pipelines the spin loop, frees the sibling hyperthread, and avoids
 // the memory-order mis-speculation flush on lock release); on AArch64 the
 // `yield` hint; elsewhere a no-op. Spelled in inline asm rather than
-// _mm_pause so no intrinsic header leaks outside src/sim/simd.h (the
-// raw-simd lint rule) and the util layer stays dependency-free.
+// _mm_pause so no intrinsic header enters the repo (the raw-simd lint
+// rule) and the util layer stays dependency-free.
 #pragma once
 
 namespace sbs::util {

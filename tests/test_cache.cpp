@@ -86,25 +86,31 @@ TEST(Cache, WorkingSetSmallerThanCacheNeverMisses) {
 }
 
 /// Property test: the cache must agree exactly with a reference model
-/// (per-set std::list LRU) over a long random trace.
+/// (per-set std::list LRU) over a long random trace of probes, fills and
+/// invalidations. The model is the cache's only independent check of its
+/// victim order, so the geometries include the preset L2/L3
+/// associativities (16, 24). An invalidated line leaves a free way that
+/// the next fill into its set must take before evicting any valid line.
 class CacheModelTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheModelTest,
-    ::testing::Values(std::make_tuple(1, 16),   // direct-mapped
-                      std::make_tuple(4, 8),    // 4-way
-                      std::make_tuple(8, 4),    // 8-way
-                      std::make_tuple(0, 1)));  // fully associative
+    ::testing::Values(std::make_tuple(1, 64),   // direct-mapped, 64 sets
+                      std::make_tuple(4, 64),   // 4-way, 16 sets
+                      std::make_tuple(8, 64),   // 8-way, 8 sets
+                      std::make_tuple(16, 64),  // 16-way, 4 sets
+                      std::make_tuple(24, 96),  // 24-way, 4 sets
+                      std::make_tuple(0, 64)));  // fully associative
 
 TEST_P(CacheModelTest, MatchesReferenceLru) {
   const int assoc_param = std::get<0>(GetParam());
-  const std::uint64_t size = 64ull * 64;  // 64 lines total
-  Cache cache(size, 64, static_cast<std::uint32_t>(assoc_param));
+  const auto lines = static_cast<std::uint64_t>(std::get<1>(GetParam()));
+  Cache cache(lines * 64, 64, static_cast<std::uint32_t>(assoc_param));
 
   const std::uint32_t assoc = cache.associativity();
   const std::uint64_t nsets = cache.num_sets();
-  // Reference: per set, an LRU list of (line, dirty).
+  // Reference: per set, an LRU list of (line, dirty), MRU first.
   std::vector<std::list<std::pair<std::uint64_t, bool>>> model(nsets);
   auto model_set = [&](std::uint64_t line) -> auto& {
     // Mirror the implementation's hash-based set index.
@@ -113,16 +119,30 @@ TEST_P(CacheModelTest, MatchesReferenceLru) {
   };
 
   Rng rng(123);
-  int hits = 0, misses = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t line = rng.next_below(200);
-    const bool write = rng.next_below(4) == 0;
+  int hits = 0, misses = 0, invalidations = 0, free_fills = 0;
+  std::uint64_t resident = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const std::uint64_t line = rng.next_below(3 * lines);
     auto& set = model_set(line);
     auto it = set.begin();
     for (; it != set.end(); ++it) {
       if (it->first == line) break;
     }
     const bool model_hit = it != set.end();
+    if (rng.next_below(8) == 0) {  // invalidate
+      bool dirty = false;
+      ASSERT_EQ(cache.invalidate(line, &dirty), model_hit)
+          << "step " << step << " line " << line;
+      if (model_hit) {
+        ++invalidations;
+        ASSERT_EQ(dirty, it->second) << "step " << step << " line " << line;
+        set.erase(it);
+        --resident;
+      }
+      ASSERT_EQ(cache.resident_lines(), resident) << "step " << step;
+      continue;
+    }
+    const bool write = rng.next_below(4) == 0;
     const bool cache_hit = cache.probe_and_touch(line, write);
     ASSERT_EQ(cache_hit, model_hit) << "step " << step << " line " << line;
     if (model_hit) {
@@ -135,18 +155,26 @@ TEST_P(CacheModelTest, MatchesReferenceLru) {
       ++misses;
       const Cache::Evicted victim = cache.fill(line, write);
       if (set.size() == assoc) {
-        ASSERT_TRUE(victim.valid);
-        ASSERT_EQ(victim.line, set.back().first);
-        ASSERT_EQ(victim.dirty, set.back().second);
+        ASSERT_TRUE(victim.valid) << "step " << step;
+        ASSERT_EQ(victim.line, set.back().first) << "step " << step;
+        ASSERT_EQ(victim.dirty, set.back().second) << "step " << step;
         set.pop_back();
       } else {
-        ASSERT_FALSE(victim.valid);
+        // A free way exists (never filled, or freed by an invalidation):
+        // the fill must take it and evict nothing.
+        ASSERT_FALSE(victim.valid)
+            << "step " << step << ": evicted line " << victim.line
+            << " while the set had a free way";
+        ++free_fills;
+        ++resident;
       }
       set.push_front({line, write});
     }
   }
   EXPECT_GT(hits, 0);
   EXPECT_GT(misses, 0);
+  EXPECT_GT(invalidations, 0);
+  EXPECT_GT(free_fills, static_cast<int>(lines));  // refills of freed ways
 }
 
 }  // namespace

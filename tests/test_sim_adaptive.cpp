@@ -1,11 +1,11 @@
 // Engine fast-path knobs must be invisible to the simulation:
 //
 //  - Adaptive windows (SimParams::adaptive_window) only coalesce merge
-//    barriers across quiet windows; for every scheduler, kernel, and
-//    host_threads value the results must be bit-identical to the
-//    fixed-quantum baseline — makespan, every traffic counter, and every
-//    engine counter including fiber_switches. The one counter allowed to
-//    move is window_merges, and it may only drop.
+//    barriers across quiet windows; for every scheduler and kernel the
+//    results must be bit-identical to the fixed-quantum baseline —
+//    makespan, every traffic counter, and every engine counter including
+//    fiber_switches. The one counter allowed to move is window_merges, and
+//    it may only drop.
 //
 //  - Inline strand execution (SimParams::inline_strands) runs pure
 //    scheduler-interaction strands (empty join continuations) on the pump
@@ -27,14 +27,13 @@ namespace {
 SimResult run_once(const machine::Topology& topo,
                    const std::string& sched_name,
                    const std::string& kernel_name, std::size_t n,
-                   int host_threads, bool adaptive, bool inline_strands) {
+                   bool adaptive, bool inline_strands) {
   kernels::KernelParams kp;
   kp.n = n;
   auto kernel = kernels::MakeKernel(kernel_name, kp);
   kernel->prepare(1);
   auto sched = sched::MakeScheduler(sched_name);
   SimParams sp;
-  sp.host_threads = host_threads;
   sp.adaptive_window = adaptive;
   sp.inline_strands = inline_strands;
   SimEngine engine(topo, sp);
@@ -93,29 +92,25 @@ TEST_P(SimAdaptiveEquivalence, AdaptiveWindowsDoNotChangeResults) {
   const std::size_t n = 20000;
 
   const SimResult fixed = run_once(topo, sched_name, kernel_name, n,
-                                   /*host_threads=*/1, /*adaptive=*/false,
+                                   /*adaptive=*/false,
                                    /*inline_strands=*/true);
-  for (int host_threads : {1, 2, 4}) {
-    const std::string label = sched_name + "/" + kernel_name +
-                              " adaptive ht=" + std::to_string(host_threads);
-    const SimResult ad = run_once(topo, sched_name, kernel_name, n,
-                                  host_threads, /*adaptive=*/true,
-                                  /*inline_strands=*/true);
-    expect_simulation_identical(fixed, ad, label);
-    // The engine's own work must also be unchanged — coalescing skips
-    // merges, it does not re-chunk execution.
-    EXPECT_EQ(fixed.counters.windows_executed, ad.counters.windows_executed)
-        << label;
-    EXPECT_EQ(fixed.counters.pump_passes, ad.counters.pump_passes) << label;
-    EXPECT_EQ(fixed.counters.fiber_switches, ad.counters.fiber_switches)
-        << label;
-    EXPECT_EQ(fixed.counters.inline_strands, ad.counters.inline_strands)
-        << label;
-    // The point of the knob: strictly fewer merge barriers. Every run has
-    // at least one quiet stretch (startup), so "≤" would hide a no-op.
-    EXPECT_LT(ad.counters.window_merges, fixed.counters.window_merges)
-        << label;
-  }
+  const std::string label = sched_name + "/" + kernel_name + " adaptive";
+  const SimResult ad = run_once(topo, sched_name, kernel_name, n,
+                                /*adaptive=*/true, /*inline_strands=*/true);
+  expect_simulation_identical(fixed, ad, label);
+  // The engine's own work must also be unchanged — coalescing skips
+  // merges, it does not re-chunk execution.
+  EXPECT_EQ(fixed.counters.windows_executed, ad.counters.windows_executed)
+      << label;
+  EXPECT_EQ(fixed.counters.pump_passes, ad.counters.pump_passes) << label;
+  EXPECT_EQ(fixed.counters.fiber_switches, ad.counters.fiber_switches)
+      << label;
+  EXPECT_EQ(fixed.counters.inline_strands, ad.counters.inline_strands)
+      << label;
+  // The point of the knob: strictly fewer merge barriers. Every run has
+  // at least one quiet stretch (startup), so "≤" would hide a no-op.
+  EXPECT_LT(ad.counters.window_merges, fixed.counters.window_merges)
+      << label;
 }
 
 TEST(SimInlineStrands, InliningDropsFiberSwitchesOnly) {
@@ -123,10 +118,10 @@ TEST(SimInlineStrands, InliningDropsFiberSwitchesOnly) {
   const std::size_t n = 20000;
   for (const char* sched : {"WS", "SB"}) {
     const SimResult fibers = run_once(topo, sched, "samplesort", n,
-                                      /*host_threads=*/1, /*adaptive=*/true,
+                                      /*adaptive=*/true,
                                       /*inline_strands=*/false);
     const SimResult inlined = run_once(topo, sched, "samplesort", n,
-                                       /*host_threads=*/1, /*adaptive=*/true,
+                                       /*adaptive=*/true,
                                        /*inline_strands=*/true);
     const std::string label = std::string(sched) + "/samplesort inline";
     expect_simulation_identical(fibers, inlined, label);

@@ -40,11 +40,11 @@ Rules:
               it (see src/sim/flat_map.h). Cold, setup-only maps may carry
               a waiver.
   raw-simd    Raw x86 intrinsics (_mm*/__m128i/immintrin.h includes) are
-              confined to src/sim/simd.h, which pairs every vector path
-              with a portable scalar fallback and the runtime dispatch
-              that keeps non-x86 and forced-scalar builds working. An
-              intrinsic anywhere else forks that portability story; waive
-              only with a reason the wrapper cannot express.
+              banned repo-wide. The simulator's tag scan is a portable
+              scalar loop: vectorized probe tiers measured at parity end
+              to end and were removed, and every intrinsic path would need
+              its own scalar fallback and dispatch to keep non-x86 builds
+              working. Waive only with a measured reason.
 
 Waivers: append `// lint:allow(<rule>)` on the offending line or the line
 directly above it. A waiver for a rule this tool owns that suppresses
@@ -86,8 +86,6 @@ RAW_SIMD_RE = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:64|128|256|512)[a-z]*\b"
     r"|#\s*include\s*<(?:immintrin|emmintrin|xmmintrin|pmmintrin|tmmintrin|"
     r"smmintrin|nmmintrin|wmmintrin|avxintrin|avx2intrin)\.h>")
-# The one file allowed to speak raw SIMD (see the raw-simd rule).
-RAW_SIMD_HOME = "src/sim/simd.h"
 WALLCLOCK_SEED_RE = re.compile(
     r"\bstd::random_device\b|\bsrand\s*\("
     r"|\btime\s*\(\s*(?:nullptr|NULL|0)\s*\)")
@@ -219,13 +217,12 @@ def lint_file(path, rel, findings):
                      "std::deque in src/sched/ needs an explicit "
                      "`// lint:allow(std-deque)` waiver"))
 
-        if rel != RAW_SIMD_HOME and RAW_SIMD_RE.search(code) and not waived(
-                raw_lines, idx, "raw-simd", consumed):
+        if RAW_SIMD_RE.search(code) and not waived(raw_lines, idx, "raw-simd",
+                                                    consumed):
             findings.append(
                 (rel, lineno, "raw-simd",
-                 "raw x86 intrinsic outside src/sim/simd.h — add the "
-                 "operation to the wrapper (with its scalar fallback) "
-                 "instead"))
+                 "raw x86 intrinsic — the repo is scalar-only; write the "
+                 "portable loop instead"))
 
         if in_sim and SIM_UNORDERED_MAP_RE.search(code) and not waived(
                 raw_lines, idx, "sim-unordered-map", consumed):
