@@ -355,8 +355,7 @@ sim::Cache filled_probe_cache(bool filter) {
   sim::Cache c(kSets * kAssoc * 64, 64, kAssoc, o);
   SBS_CHECK(c.filter_enabled() == filter);
   for (std::uint64_t i = 0; i < kSets * kAssoc * 4; ++i) {
-    sim::Cache::Evicted ev;
-    c.fill_if_absent(i, false, &ev);
+    if (!c.probe_and_touch(i, false)) c.fill(i, false);
   }
   return c;
 }

@@ -1,16 +1,25 @@
 // Simulator throughput: simulated accesses per host-second on the paper's
-// xeon7560_fig4 machine (samplesort, WS), with adaptive and fixed-quantum
-// windows, plus a huge-machine configuration that exercises the sharded
-// memory system at scale.
+// xeon7560_fig4 machine (samplesort, WS), plus a huge-machine
+// configuration that exercises the sharded memory system at scale.
 //
 // Writes BENCH_sim_throughput.json. Every simulated run here is
-// deterministic: for a given (machine, kernel, n, skew_quantum), the
-// makespan and counters are bit-identical across repetitions and for
-// adaptive vs fixed-quantum windows (see src/sim/engine.h); the bench
-// asserts both before reporting, the latter across all four schedulers.
+// deterministic: for a given (machine, kernel, scheduler, n,
+// skew_quantum), the makespan and every counter are bit-identical across
+// repetitions, and the bench asserts it before reporting — on every timed
+// cell, and on two runs each under WS, PWS, SB and SB-D.
+//
+// Host time drifts with load, frequency and neighbours, so each repetition
+// is bracketed by runs of perfbench's HostProbe (perfbench/probe.h), a fixed
+// unit of simulator-like work. A cell reports its raw best acc/s and its
+// probe-corrected acc/s: the best time rescaled to the probe's reference
+// host speed by the median of the cell's probe runs. The corrected figure
+// is the one to compare across hosts and runs. (Correcting each repetition
+// by its own two probes and keeping the best spread wider: the minimum
+// picks whichever repetition a slow probe over-corrected.)
 //
 //   ./sim_throughput             # full matrix (n=1M, huge64 scaling)
-//   ./sim_throughput --smoke     # CI: small n, still asserts equivalences
+//   ./sim_throughput --smoke     # CI: small n, still asserts determinism
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +30,7 @@
 
 #include "kernels/kernel.h"
 #include "machine/config.h"
+#include "probe.h"
 #include "machine/topology.h"
 #include "sched/registry.h"
 #include "sim/engine.h"
@@ -39,29 +49,51 @@ double now_s() {
 
 struct Measurement {
   double best_wall_s = 1e300;
+  double corrected_wall_s = 0;  ///< best_wall_s at the probe's reference
+  double probe_s = 0;           ///< median HostProbe time of the cell
   std::uint64_t accesses = 0;
   std::uint64_t makespan = 0;
   double acc_per_sec = 0;
+  double corrected_acc_per_sec = 0;
   sim::Counters counters;
 };
 
-/// Run `kernel_name` under `sched_name` on `cfg` with the given engine
-/// knobs `reps` times; keep the best wall time. The SimResult is identical
-/// across reps (the engine guarantees it), so counters come from the last
-/// run.
+/// Everything a run simulates, compared exactly: the makespan, the summary
+/// line (traffic, per-level hits and misses, engine counters), and the
+/// per-level eviction and invalidation counts the summary omits.
+bool same_result(std::uint64_t makespan_a, const sim::Counters& a,
+                 std::uint64_t makespan_b, const sim::Counters& b) {
+  if (makespan_a != makespan_b || a.summary() != b.summary() ||
+      a.level.size() != b.level.size())
+    return false;
+  for (std::size_t d = 0; d < a.level.size(); ++d) {
+    const sim::LevelCounters& x = a.level[d];
+    const sim::LevelCounters& y = b.level[d];
+    if (x.evictions != y.evictions ||
+        x.back_invalidations != y.back_invalidations ||
+        x.coherence_invalidations != y.coherence_invalidations)
+      return false;
+  }
+  return true;
+}
+
+/// Run `kernel_name` under `sched_name` on `cfg` `reps` times, each run
+/// bracketed by HostProbe runs; keep the best wall time. Every rep must
+/// simulate exactly what the first one did.
 Measurement measure(const machine::MachineConfig& cfg,
                     const std::string& kernel_name, std::size_t n,
-                    std::uint64_t quantum, int reps, bool adaptive = true,
+                    std::uint64_t quantum, int reps,
                     const std::string& sched_name = "WS") {
   machine::Topology topo(cfg);
   sim::SimParams sp;
   sp.skew_quantum = quantum;
-  sp.adaptive_window = adaptive;
   sim::SimEngine eng(topo, sp);
+  perfbench::HostProbe probe;
 
   kernels::KernelParams kp;
   kp.n = n;
   Measurement m;
+  probe.run();
   for (int rep = 0; rep < reps; ++rep) {
     auto kernel = kernels::MakeKernel(kernel_name, kp);
     kernel->prepare(1);
@@ -71,39 +103,24 @@ Measurement measure(const machine::MachineConfig& cfg,
     const double t0 = now_s();
     const sim::SimResult r = eng.run(*sched, kernel->make_root());
     const double dt = now_s() - t0;
+    probe.run();
     SBS_CHECK_MSG(kernel->verify(), "bench kernel verify failed");
-    SBS_CHECK_MSG(m.makespan == 0 || m.makespan == r.makespan_cycles,
+    SBS_CHECK_MSG(rep == 0 || same_result(m.makespan, m.counters,
+                                          r.makespan_cycles, r.counters),
                   "simulator nondeterministic across repetitions");
     m.makespan = r.makespan_cycles;
     m.accesses = r.counters.accesses;
     m.counters = r.counters;
     m.best_wall_s = std::min(m.best_wall_s, dt);
   }
+  std::vector<double> probes = probe.samples();
+  std::sort(probes.begin(), probes.end());
+  m.probe_s = probes[probes.size() / 2];
+  m.corrected_wall_s = m.best_wall_s * perfbench::kProbeRefS / m.probe_s;
   m.acc_per_sec = static_cast<double>(m.accesses) / m.best_wall_s;
+  m.corrected_acc_per_sec =
+      static_cast<double>(m.accesses) / m.corrected_wall_s;
   return m;
-}
-
-/// Adaptive windows only elide merge barriers; everything else — timing,
-/// traffic, even the fiber-switch count — must match the fixed-quantum run
-/// exactly. (window_merges is the one counter allowed to differ: dropping
-/// merges is the optimization.)
-void check_adaptive_identical(const Measurement& fixed, const Measurement& ad,
-                              const char* what) {
-  const sim::Counters& f = fixed.counters;
-  const sim::Counters& a = ad.counters;
-  SBS_CHECK_MSG(fixed.makespan == ad.makespan && f.accesses == a.accesses &&
-                    f.writes == a.writes && f.dram_reads == a.dram_reads &&
-                    f.dram_writebacks == a.dram_writebacks &&
-                    f.remote_dram_accesses == a.remote_dram_accesses &&
-                    f.queue_wait_cycles == a.queue_wait_cycles &&
-                    f.fiber_switches == a.fiber_switches &&
-                    f.filter_skips == a.filter_skips &&
-                    f.windows_executed == a.windows_executed &&
-                    f.pump_passes == a.pump_passes &&
-                    f.inline_strands == a.inline_strands,
-                what);
-  SBS_CHECK_MSG(a.window_merges <= f.window_merges,
-                "adaptive windows increased merge count");
 }
 
 void emit(JsonWriter& w, const char* key, const Measurement& m) {
@@ -111,6 +128,9 @@ void emit(JsonWriter& w, const char* key, const Measurement& m) {
   w.kv("accesses", m.accesses);
   w.kv("best_wall_s", m.best_wall_s);
   w.kv("accesses_per_sec", m.acc_per_sec);
+  w.kv("probe_s", m.probe_s);
+  w.kv("corrected_wall_s", m.corrected_wall_s);
+  w.kv("corrected_accesses_per_sec", m.corrected_acc_per_sec);
   w.kv("makespan_cycles", m.makespan);
   w.kv("filter_skips", m.counters.filter_skips);
   w.key("engine").begin_object();
@@ -147,33 +167,20 @@ int main(int argc, char** argv) {
       machine::LoadConfigFile("configs/xeon7560_fig4.cfg");
 
   const Measurement serial = measure(xeon, "samplesort", n, quantum, reps);
-  std::printf("xeon7560 samplesort n=%zu: %.1fM acc/s (makespan %llu)\n", n,
-              serial.acc_per_sec / 1e6,
+  std::printf("xeon7560 samplesort n=%zu: %.1fM acc/s raw, %.1fM corrected "
+              "(probe %.1f ms, makespan %llu)\n",
+              n, serial.acc_per_sec / 1e6, serial.corrected_acc_per_sec / 1e6,
+              serial.probe_s * 1e3,
               static_cast<unsigned long long>(serial.makespan));
 
-  // Fixed-quantum control cell: adaptive window coalescing must be a pure
-  // host-side optimization.
-  const Measurement fixed_q =
-      measure(xeon, "samplesort", n, quantum, reps, /*adaptive=*/false);
-  check_adaptive_identical(fixed_q, serial,
-                           "adaptive windows diverged from fixed quantum");
-  std::printf("  fixed-quantum control: %.1fM acc/s, %llu merges vs %llu "
-              "adaptive\n",
-              fixed_q.acc_per_sec / 1e6,
-              static_cast<unsigned long long>(fixed_q.counters.window_merges),
-              static_cast<unsigned long long>(serial.counters.window_merges));
-
-  // Fixed-vs-adaptive equivalence across every scheduler family (smaller n:
+  // Determinism across every scheduler family: two runs each (smaller n:
   // these cells are correctness gates, not throughput measurements).
-  const std::size_t eq_n = std::min<std::size_t>(n, 100000);
+  const std::size_t det_n = std::min<std::size_t>(n, 100000);
   for (const char* sched : {"WS", "PWS", "SB", "SB-D"}) {
-    const Measurement f = measure(xeon, "samplesort", eq_n, quantum, 1,
-                                  /*adaptive=*/false, sched);
-    const Measurement a = measure(xeon, "samplesort", eq_n, quantum, 1,
-                                  /*adaptive=*/true, sched);
-    check_adaptive_identical(f, a, "adaptive windows diverged from fixed");
-    std::printf("  adaptive==fixed under %s (makespan %llu)\n", sched,
-                static_cast<unsigned long long>(f.makespan));
+    const Measurement d =
+        measure(xeon, "samplesort", det_n, quantum, /*reps=*/2, sched);
+    std::printf("  deterministic under %s (makespan %llu)\n", sched,
+                static_cast<unsigned long long>(d.makespan));
   }
 
   if (xeon_only) return 0;
@@ -184,20 +191,21 @@ int main(int argc, char** argv) {
       machine::LoadConfigFile("configs/huge64_4level.cfg");
   const std::size_t huge_n = smoke ? 100000 : 1000000;
   const Measurement huge1 = measure(huge, "samplesort", huge_n, quantum, reps);
-  std::printf("huge64 samplesort n=%zu: %.1fM acc/s (makespan %llu)\n",
+  std::printf("huge64 samplesort n=%zu: %.1fM acc/s raw, %.1fM corrected "
+              "(probe %.1f ms, makespan %llu)\n",
               huge_n, huge1.acc_per_sec / 1e6,
+              huge1.corrected_acc_per_sec / 1e6, huge1.probe_s * 1e3,
               static_cast<unsigned long long>(huge1.makespan));
 
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "sim_throughput");
-  w.kv("schema_version", 4);
+  w.kv("schema_version", 5);
   w.kv("smoke", smoke);
   w.kv("kernel", "samplesort");
   w.kv("sched", "WS");
   w.kv("n", n);
   w.kv("skew_quantum", quantum);
-  w.kv("adaptive_window", true);
   w.kv("inline_strands", true);
   w.kv("host_cpus",
        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
@@ -208,11 +216,11 @@ int main(int argc, char** argv) {
   // Measured at the seed of this change series (commit 00f9302, same
   // machine/kernel/n/quantum): 9.2M simulated accesses per host-second.
   w.kv("baseline_accesses_per_sec_at_00f9302", 9200000);
+  // HostProbe time on the host the corrected figures are rescaled to.
+  w.kv("probe_ref_s", perfbench::kProbeRefS);
   w.key("xeon7560_fig4").begin_object();
   emit(w, "serial", serial);
-  emit(w, "fixed_quantum", fixed_q);
-  w.kv("adaptive_equals_fixed", true);
-  w.kv("adaptive_equals_fixed_schedulers", "WS,PWS,SB,SB-D");
+  w.kv("deterministic_schedulers", "WS,PWS,SB,SB-D");
   w.end_object();
   w.key("huge64_4level").begin_object();
   w.kv("n", huge_n);

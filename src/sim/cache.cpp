@@ -6,9 +6,9 @@ namespace sbs::sim {
 
 Cache::Cache(std::uint64_t size_bytes, std::uint32_t line_bytes,
              std::uint32_t assoc, const CacheOptions& options)
-    : size_bytes_(size_bytes), line_bytes_(line_bytes), assoc_(assoc) {
-  SBS_CHECK(size_bytes_ > 0 && line_bytes_ > 0);
-  const std::uint64_t lines = size_bytes_ / line_bytes_;
+    : line_bytes_(line_bytes), assoc_(assoc) {
+  SBS_CHECK(size_bytes > 0 && line_bytes_ > 0);
+  const std::uint64_t lines = size_bytes / line_bytes_;
   if (assoc_ == 0 || assoc_ >= lines) {
     assoc_ = static_cast<std::uint32_t>(lines);  // fully associative
   }
@@ -79,27 +79,6 @@ Cache::Evicted Cache::fill(std::uint64_t line, bool dirty,
   Evicted out;
   insert_line(set, tags_at(set), meta_at(set), line, dirty, flags, &out);
   return out;
-}
-
-bool Cache::fill_if_absent(std::uint64_t line, bool dirty, Evicted* evicted,
-                           std::uint8_t flags) {
-  const std::uint64_t h = hash_of(line);
-  const std::uint64_t set = set_of_hash(h);
-  std::uint64_t* tags = tags_at(set);
-  Meta* meta = meta_at(set);
-  if (filter_on_ && filter_absent(set, bucket_of_hash(h))) {
-    ++filter_skips_;
-  } else {
-    const int w = find_way(tags, key_of(line));
-    if (w >= 0) {
-      if (dirty) meta[w].dirty = 1;
-      if (w > 0) rotate_to_front(tags, meta, static_cast<std::uint32_t>(w));
-      *evicted = Evicted{};
-      return false;
-    }
-  }
-  insert_line(set, tags, meta, line, dirty, flags, evicted);
-  return true;
 }
 
 bool Cache::set_flags(std::uint64_t line, std::uint8_t flags) {

@@ -82,11 +82,6 @@ class Cache {
   /// victim, if the set was full.
   Evicted fill(std::uint64_t line, bool dirty, std::uint8_t flags = 0);
 
-  /// Combined probe+fill in one set scan: if present, touch LRU/dirty and
-  /// return false; otherwise insert and return true (victim in *evicted).
-  bool fill_if_absent(std::uint64_t line, bool dirty, Evicted* evicted,
-                      std::uint8_t flags = 0);
-
   /// Overwrite a resident line's sharing flags (no LRU touch). Returns
   /// false if the line is absent.
   bool set_flags(std::uint64_t line, std::uint8_t flags);
@@ -136,7 +131,6 @@ class Cache {
     __builtin_prefetch(tags_at(set));
   }
 
-  std::uint64_t size_bytes() const { return size_bytes_; }
   std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint32_t associativity() const { return assoc_; }
   std::uint64_t num_sets() const { return num_sets_; }
@@ -152,10 +146,9 @@ class Cache {
   // --- representation introspection (benches / tests / summaries) ---
   bool filter_enabled() const { return filter_on_; }
   /// Tag scans skipped because the presence filter proved the line absent
-  /// (counted on the probe paths: probe_and_touch / fill_if_absent /
-  /// invalidate — not in const contains()). Deterministic: a function of
-  /// the probe sequence alone, so as reproducible as the coherence
-  /// counters.
+  /// (counted on the probe paths: probe_and_touch / invalidate — not in
+  /// const contains()). Deterministic: a function of the probe sequence
+  /// alone, so as reproducible as the coherence counters.
   std::uint64_t filter_skips() const { return filter_skips_; }
 
   void clear();
@@ -233,8 +226,8 @@ class Cache {
   }
 
   /// Insert `line` into `set` (absent by contract), evicting the LRU
-  /// victim if the set is full (*out). Shared by fill / fill_if_absent;
-  /// updates residency, generation, and the presence filter.
+  /// victim if the set is full (*out). Updates residency, generation, and
+  /// the presence filter.
   void insert_line(std::uint64_t set, std::uint64_t* tags, Meta* meta,
                    std::uint64_t line, bool dirty, std::uint8_t flags,
                    Evicted* out);
@@ -247,7 +240,6 @@ class Cache {
   }
   Meta* meta_at(std::uint64_t set) { return meta_.data() + set * assoc_; }
 
-  std::uint64_t size_bytes_;
   std::uint32_t line_bytes_;
   std::uint32_t assoc_;
   std::uint64_t num_sets_;

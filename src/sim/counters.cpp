@@ -26,28 +26,4 @@ std::string Counters::summary() const {
   return out.str();
 }
 
-Counters& Counters::operator+=(const Counters& other) {
-  if (level.size() < other.level.size()) level.resize(other.level.size());
-  for (std::size_t d = 0; d < other.level.size(); ++d) {
-    level[d].hits += other.level[d].hits;
-    level[d].misses += other.level[d].misses;
-    level[d].evictions += other.level[d].evictions;
-    level[d].back_invalidations += other.level[d].back_invalidations;
-    level[d].coherence_invalidations += other.level[d].coherence_invalidations;
-  }
-  dram_reads += other.dram_reads;
-  dram_writebacks += other.dram_writebacks;
-  remote_dram_accesses += other.remote_dram_accesses;
-  queue_wait_cycles += other.queue_wait_cycles;
-  accesses += other.accesses;
-  writes += other.writes;
-  filter_skips += other.filter_skips;
-  fiber_switches += other.fiber_switches;
-  windows_executed += other.windows_executed;
-  window_merges += other.window_merges;
-  pump_passes += other.pump_passes;
-  inline_strands += other.inline_strands;
-  return *this;
-}
-
 }  // namespace sbs::sim

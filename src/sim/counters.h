@@ -1,5 +1,9 @@
 // Simulated hardware counters (the stand-in for the paper's core PMU +
-// C-Box uncore counters, Appendix B). Counts are exact, not sampled.
+// C-Box uncore counters, Appendix B). Counts are exact, not sampled. A run
+// has one Counters: the memory system charges each event into it when the
+// event happens — a cross-socket invalidation when it lands at the window
+// barrier — and the engine adds its own overhead counters when the run
+// ends.
 #pragma once
 
 #include <cstdint>
@@ -48,25 +52,6 @@ struct Counters {
   std::uint64_t pump_passes = 0;       ///< scheduler-pump iterations
   std::uint64_t inline_strands = 0;    ///< strands run on the pump, no fiber
 
-  /// Zero every counter without releasing the level vector (the per-shard
-  /// window deltas are cleared once per window — reallocating them there
-  /// showed up in profiles).
-  void clear() {
-    for (LevelCounters& lc : level) lc = LevelCounters{};
-    dram_reads = 0;
-    dram_writebacks = 0;
-    remote_dram_accesses = 0;
-    queue_wait_cycles = 0;
-    accesses = 0;
-    writes = 0;
-    filter_skips = 0;
-    fiber_switches = 0;
-    windows_executed = 0;
-    window_merges = 0;
-    pump_passes = 0;
-    inline_strands = 0;
-  }
-
   /// Misses at the outermost cache level — the paper's headline metric
   /// ("L3 cache misses" on the Xeon preset).
   std::uint64_t llc_misses() const {
@@ -77,8 +62,6 @@ struct Counters {
   }
 
   std::string summary() const;
-
-  Counters& operator+=(const Counters& other);
 };
 
 }  // namespace sbs::sim

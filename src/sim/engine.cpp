@@ -16,6 +16,10 @@ using runtime::Job;
 using runtime::Strand;
 using runtime::StrandOps;
 
+namespace {
+constexpr std::size_t kFiberStackBytes = 512 * 1024;
+}  // namespace
+
 /// One virtual core: a clock, a fiber that hosts its current strand, and the
 /// AccessSink that charges the strand's memory traffic to the clock.
 struct SimEngine::VCore final : mem::AccessSink {
@@ -49,7 +53,7 @@ struct SimEngine::VCore final : mem::AccessSink {
   // stream, so their simulated addresses are deterministic (see mem.h).
   int stream_id() const override { return tid; }
 
-  void ensure_fiber(std::size_t stack_bytes) {
+  void ensure_fiber() {
     if (fiber) return;
     fiber = std::make_unique<Fiber>(
         [this] {
@@ -61,7 +65,7 @@ struct SimEngine::VCore final : mem::AccessSink {
             Fiber::yield();
           }
         },
-        stack_bytes);
+        kFiberStackBytes);
   }
 
   SimEngine* engine;
@@ -331,7 +335,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
   sched_ = &sched;
   root_completed_ = false;
   memory_->reset();
-  memory_->set_windowed(true);
   mem::arena::reset_transient();
   for (auto& core : cores_) {
     SBS_CHECK_MSG(!core->busy, "engine reused while a strand was live");
@@ -345,8 +348,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     core->batch_pass = 0;
     core->fiber_resumes_base = core->fiber ? core->fiber->resumes() : 0;
   }
-  windows_since_merge_ = 0;
-  coalesce_limit_ = 1;
   windows_executed_ = pump_passes_ = window_merges_ = inline_strands_run_ = 0;
   inline_done_.clear();
   runtime::JobArena::Scope arena_scope(&arena_);
@@ -496,7 +497,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
         busy_min_ = std::min(busy_min_, core.clock);
         continue;
       }
-      core.ensure_fiber(params_.fiber_stack_bytes);
+      core.ensure_fiber();
       shard_busy_[static_cast<std::size_t>(core.shard)].push_back(&core);
       busy_min_ = std::min(busy_min_, core.clock);
     }
@@ -543,32 +544,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
       }
       list.resize(keep);
     }
-
-    // Adaptive windows: while every window since the last merge was quiet
-    // (no cross-shard coherence, no sharing-directory traffic, no link
-    // bandwidth), the merge would be an identity apart from folding counter
-    // deltas — defer it, doubling the merge-free budget each time a full
-    // budget passes without contact, and collapse back to one window on
-    // contact. The decision reads only simulation-determined shard state,
-    // and eliding an identity barrier cannot change results — makespan and
-    // all memory counters stay bit-identical to adaptive_window=false.
-    ++windows_since_merge_;
-    if (params_.adaptive_window && memory_->window_quiet() &&
-        windows_since_merge_ < coalesce_limit_) {
-      continue;  // barrier elided
-    }
-    if (params_.adaptive_window) {
-      if (memory_->window_quiet()) {
-        // A whole budget of quiet windows: widen geometrically (bounded so
-        // counter deltas cannot go stale without limit).
-        coalesce_limit_ = std::min(coalesce_limit_ * 2, kCoalesceCap);
-      } else {
-        coalesce_limit_ = 1;
-      }
-    }
-    windows_since_merge_ = 0;
-    ++window_merges_;
-    memory_->merge_window();
+    if (memory_->merge_window()) ++window_merges_;
   }
 
   SBS_CHECK_MSG(inline_done_.empty(),
@@ -576,8 +552,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
   for (const auto& list : shard_busy_)
     SBS_CHECK_MSG(list.empty(),
                   "root completed while a strand was still running");
-  memory_->merge_window();
-  memory_->set_windowed(false);
   if (fast_idle) sched.set_push_log(nullptr);
 
   sched.finish();

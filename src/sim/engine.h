@@ -18,7 +18,10 @@
 // Within a window a shard touches only its own simulated state
 // (memory_system.h); cross-shard coherence and bandwidth are merged at the
 // window barrier in deterministic shard order. That deferral is part of
-// the timing model, and the committed makespans are defined by it.
+// the timing model, and the committed makespans are defined by it. Every
+// barrier calls MemorySystem::merge_window(); a window with no cross-shard
+// traffic merges nothing, and Counters::window_merges counts only the
+// barriers that did merge.
 //
 // Idle fast-forward. Most pump events on a many-core machine are empty
 // polls, and a scheduler that implements Scheduler::idle_poll_ops() and
@@ -80,15 +83,6 @@ struct SimParams {
   std::uint64_t skew_quantum = 10000;
   /// Worker count; -1 = all hardware threads of the machine.
   int num_threads = -1;
-  std::size_t fiber_stack_bytes = 512 * 1024;
-  /// Adaptive windows: elide the window-merge barrier while windows stay
-  /// "quiet" (no cross-shard coherence traffic, no link bandwidth use),
-  /// geometrically widening the merge-free run and shrinking back to one
-  /// window on contact. A quiet merge is an identity apart from folding
-  /// counter deltas (which is commutative), and the elision decision reads
-  /// only simulation-determined state, so results are bit-identical to the
-  /// fixed-quantum baseline — the equivalence tests assert it.
-  bool adaptive_window = true;
   /// Run inline-runnable strands (e.g. empty join continuations, see
   /// runtime::Job::inline_runnable) directly on the pump with no fiber
   /// switch. Bit-identical to the fiber path: such strands touch no
@@ -102,10 +96,6 @@ struct SimResult {
   Counters counters;
   std::uint64_t makespan_cycles = 0;
   std::string sched_stats;
-
-  double llc_misses_m() const {
-    return static_cast<double>(counters.llc_misses()) / 1e6;
-  }
 };
 
 class SimEngine {
@@ -119,7 +109,6 @@ class SimEngine {
   SimResult run(runtime::Scheduler& sched, runtime::Job* root_job);
 
   const machine::Topology& topology() const { return topo_; }
-  MemorySystem& memory() { return *memory_; }
 
   /// Own a trace recorder: subsequent run()s record scheduler lifecycle
   /// events with virtual-cycle timestamps from the per-core clocks. Each
@@ -168,11 +157,6 @@ class SimEngine {
   /// The fork/join allocation arena of every strand body and settle().
   runtime::JobArena arena_;
   std::uint64_t horizon_ = 0;  ///< yield threshold for running fibers
-
-  // Adaptive-window state (SimParams::adaptive_window).
-  std::uint64_t windows_since_merge_ = 0;
-  std::uint64_t coalesce_limit_ = 1;  ///< merge-free window budget
-  static constexpr std::uint64_t kCoalesceCap = 4096;
 
   // Engine-overhead counters for the current run (folded into
   // SimResult::counters; see counters.h).

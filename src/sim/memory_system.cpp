@@ -10,6 +10,11 @@ namespace sbs::sim {
 namespace {
 constexpr int kMaxCacheDepth = 7;  // ThreadInfo path arrays have 8 slots
 constexpr int kMaxShards = SocketSet::kMaxSockets;
+/// Outstanding-miss overlap: an isolated miss costs dram_latency / kMlp.
+constexpr double kMlp = 4.0;
+/// Extra cycles when the home socket is not the accessor's (a QPI hop on
+/// the paper's machine).
+constexpr std::uint64_t kRemotePenaltyCycles = 60;
 }  // namespace
 
 MemorySystem::MemorySystem(const machine::Topology& topo, MemoryParams params)
@@ -114,23 +119,17 @@ MemorySystem::MemorySystem(const machine::Topology& topo, MemoryParams params)
   }
   for (int s : params_.allowed_sockets)
     SBS_CHECK_MSG(s >= 0 && s < n_shards, "allowed socket out of range");
-  SBS_CHECK(params_.mlp >= 1.0);
 
   transfer_cycles_ =
       static_cast<double>(line_bytes_) / cfg.socket_bytes_per_cycle;
   isolated_miss_cycles_ = static_cast<std::uint64_t>(
-      static_cast<double>(cfg.dram_latency_cycles) / params_.mlp);
+      static_cast<double>(cfg.dram_latency_cycles) / kMlp);
   counters_.level.resize(static_cast<std::size_t>(leaf_depth));
 
-  shards_.reserve(static_cast<std::size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->ctr = &counters_;
-    sh->links = socket_next_free_.data();
-    sh->link_view.assign(static_cast<std::size_t>(n_shards), 0);
-    sh->link_used.assign(static_cast<std::size_t>(n_shards), 0);
-    shards_.push_back(std::move(sh));
-  }
+  shards_.resize(static_cast<std::size_t>(n_shards));
+  for (Shard& sh : shards_)
+    sh.link_view.assign(static_cast<std::size_t>(n_shards), 0);
+  link_used_.assign(static_cast<std::size_t>(n_shards), 0);
 }
 
 int MemorySystem::home_socket(std::uint64_t line) const {
@@ -214,47 +213,21 @@ void MemorySystem::share_socket(int shard, std::uint64_t line,
   }
 }
 
-std::uint8_t MemorySystem::outer_fill_flags(Shard& sh, int shard,
-                                            std::uint64_t line) {
-  if (shards_.size() == 1) return 0;  // one socket: nothing is ever cross
-  if (windowed_) {
-    // The directory is read-only during a window; start unknown and let the
-    // barrier resolve it (a later write posts an outbox event regardless).
-    sh.sd_delta.push_back(SdDelta{line, shard, true});
-    return Cache::kFlagCrossUnknown;
-  }
-  SocketSet& holders = sharing_[line];
-  const bool others = holders.any_other(shard);
-  holders.set(shard);
-  if (!others) return 0;
-  // We join existing holders: their copies — possibly marked exclusive —
-  // are now shared, and so are ours.
-  holders.for_each_other(shard, [&](int other) {
-    share_socket(other, line, Cache::kFlagCrossShared,
-                 Cache::kFlagCrossShared | Cache::kFlagCrossUnknown);
-  });
-  return Cache::kFlagCrossShared;
+std::uint64_t MemorySystem::use_link(int shard, int home, std::uint64_t now) {
+  std::uint64_t& next_free =
+      shards_[static_cast<std::size_t>(shard)]
+          .link_view[static_cast<std::size_t>(home)];
+  const std::uint64_t wait = next_free > now ? next_free - now : 0;
+  const auto transfer = static_cast<std::uint64_t>(transfer_cycles_);
+  next_free = std::max(next_free, now) + transfer;
+  link_used_[static_cast<std::size_t>(home)] += transfer;
+  link_touched_ = true;
+  return wait;
 }
 
-void MemorySystem::note_outer_evict(Shard& sh, int shard,
-                                    std::uint64_t line) {
-  if (shards_.size() == 1) return;
-  if (windowed_) {
-    sh.sd_delta.push_back(SdDelta{line, shard, false});
-  } else {
-    SocketSet* holders = sharing_.find(line);
-    if (holders != nullptr) {
-      holders->reset(shard);
-      if (holders->none()) sharing_.erase(line);
-    }
-  }
-}
-
-std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
-                                        int thread_id, std::uint64_t line,
-                                        bool write, std::uint64_t now) {
-  Shard& sh = *shards_[static_cast<std::size_t>(ti.shard)];
-
+std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, int thread_id,
+                                        std::uint64_t line, bool write,
+                                        std::uint64_t now) {
   // Start the outermost level's tag load now: its array is far larger than
   // the host cache, so by the time the inner probes miss, the line the L-1
   // probe needs is already in flight. (Inner tag arrays are small enough to
@@ -275,7 +248,7 @@ std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
       hit = i;
       break;
     }
-    ++ctr
+    ++counters_
           .level[static_cast<std::size_t>(
               ti.depth[static_cast<std::size_t>(i)])]
           .misses;
@@ -283,7 +256,7 @@ std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
 
   std::uint8_t flags = 0;
   if (hit >= 0) {
-    ++ctr
+    ++counters_
           .level[static_cast<std::size_t>(
               ti.depth[static_cast<std::size_t>(hit)])]
           .hits;
@@ -299,7 +272,7 @@ std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
       flags = static_cast<std::uint8_t>(
           (hflags & (Cache::kFlagCrossShared | Cache::kFlagCrossUnknown)) |
           (sock ? Cache::kFlagSockShared : 0));
-      flags = fill_path(ti, sh, line, write, hit - 1, now, flags);
+      flags = fill_path(ti, line, write, hit - 1, now, flags);
     } else {
       flags = hflags;
     }
@@ -307,15 +280,9 @@ std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
   } else {
     // Miss everywhere: fetch from the home socket's memory link.
     const int home = home_socket(line);
-    std::uint64_t& next_free = sh.links[static_cast<std::size_t>(home)];
-    const std::uint64_t wait = next_free > now ? next_free - now : 0;
-    next_free = std::max(next_free, now) +
-                static_cast<std::uint64_t>(transfer_cycles_);
-    sh.link_used[static_cast<std::size_t>(home)] +=
-        static_cast<std::uint64_t>(transfer_cycles_);
-    sh.link_touched = true;
-    ctr.queue_wait_cycles += wait;
-    ++ctr.dram_reads;
+    const std::uint64_t wait = use_link(ti.shard, home, now);
+    counters_.queue_wait_cycles += wait;
+    ++counters_.dram_reads;
 
     std::uint64_t latency = 0;
     std::uint64_t& last = last_miss_line_[static_cast<std::size_t>(thread_id)];
@@ -324,11 +291,11 @@ std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
     }
     last = line;
     if (home != ti.shard) {
-      latency += params_.remote_penalty_cycles;
-      ++ctr.remote_dram_accesses;
+      latency += kRemotePenaltyCycles;
+      ++counters_.remote_dram_accesses;
     }
 
-    flags = fill_path(ti, sh, line, write, ti.path_len - 1, now, 0);
+    flags = fill_path(ti, line, write, ti.path_len - 1, now, 0);
     cost = wait + static_cast<std::uint64_t>(transfer_cycles_) + latency;
   }
 
@@ -337,7 +304,7 @@ std::uint64_t MemorySystem::access_slow(ThreadInfo& ti, Counters& ctr,
     // way's sock bit (the sweep verified the socket is ours alone). Cross
     // bits stay — they are sticky by design (see share_socket), and repeat
     // writes are memo-absorbed anyway.
-    write_invalidate(ti, sh, line, flags);
+    write_invalidate(ti, line, flags);
     ti.cache[0]->set_flags(
         line, flags & (Cache::kFlagCrossShared | Cache::kFlagCrossUnknown));
   }
@@ -367,11 +334,10 @@ std::uint64_t MemorySystem::access_range_multi(int thread_id,
     const RangeMemo& rm = range_memo_[static_cast<std::size_t>(thread_id)];
     if (first >= rm.lo && last < rm.hi && (!write || rm.wrote != 0)) {
       const ThreadInfo& ti = tinfo_[static_cast<std::size_t>(thread_id)];
-      Counters& ctr = *shards_[static_cast<std::size_t>(ti.shard)]->ctr;
       const std::uint64_t n = last - first + 1;
-      ctr.accesses += n;
-      if (write) ctr.writes += n;
-      ctr.level[static_cast<std::size_t>(ti.inner_depth)].hits += n;
+      counters_.accesses += n;
+      if (write) counters_.writes += n;
+      counters_.level[static_cast<std::size_t>(ti.inner_depth)].hits += n;
       return n * ti.hit_cycles[0];
     }
   }
@@ -382,10 +348,9 @@ std::uint64_t MemorySystem::access_range_multi(int thread_id,
   return cost;
 }
 
-std::uint8_t MemorySystem::fill_path(const ThreadInfo& ti, Shard& sh,
-                                     std::uint64_t line, bool write,
-                                     int from_index, std::uint64_t now,
-                                     std::uint8_t flags) {
+std::uint8_t MemorySystem::fill_path(const ThreadInfo& ti, std::uint64_t line,
+                                     bool write, int from_index,
+                                     std::uint64_t now, std::uint8_t flags) {
   // Fill outermost-first so inclusion always holds. Every level in
   // [0, from_index] was probed and missed by the caller, and handling an
   // eviction at an outer level never inserts this line anywhere, so the
@@ -393,15 +358,21 @@ std::uint8_t MemorySystem::fill_path(const ThreadInfo& ti, Shard& sh,
   for (int i = from_index; i >= 0; --i) {
     if (ti.depth[static_cast<std::size_t>(i)] == 1) {
       // DRAM fill of the outermost level: by inclusion nothing in this
-      // socket holds the line (we would have hit), so sock-exclusive; the
-      // cross state comes from the sharing directory.
-      flags = outer_fill_flags(sh, ti.shard, line);
+      // socket holds the line (we would have hit), so sock-exclusive. With
+      // one socket nothing is ever cross; otherwise the directory is
+      // read-only until the barrier, so start cross-unknown (a later write
+      // posts an outbox event regardless) and record the fill.
+      flags = 0;
+      if (shards_.size() > 1) {
+        sd_delta_.push_back(SdDelta{line, ti.shard, true});
+        flags = Cache::kFlagCrossUnknown;
+      }
     }
     const Cache::Evicted evicted =
         ti.cache[static_cast<std::size_t>(i)]->fill(line, write && i == 0,
                                                     flags);
     if (evicted.valid)
-      handle_eviction(sh, ti.node[static_cast<std::size_t>(i)], evicted, now);
+      handle_eviction(ti.node[static_cast<std::size_t>(i)], evicted, now);
     // Flag this branch in the parent's holder mask (the parent holds the
     // line — it sits above us on the just-filled path).
     if (i + 1 < ti.path_len && ti.slot[static_cast<std::size_t>(i)] != 0xFF) {
@@ -430,7 +401,7 @@ std::uint8_t MemorySystem::fill_path(const ThreadInfo& ti, Shard& sh,
 
 void MemorySystem::invalidate_children(int node_id, std::uint32_t mask,
                                        std::uint64_t line, bool* dirty,
-                                       Counters& ctr, bool coherence) {
+                                       bool coherence) {
   const int first = child_first_[static_cast<std::size_t>(node_id)];
   const int cnt = child_count_[static_cast<std::size_t>(node_id)];
   if (cnt == 0 || caches_[static_cast<std::size_t>(first)] == nullptr)
@@ -444,7 +415,7 @@ void MemorySystem::invalidate_children(int node_id, std::uint32_t mask,
     }
     *dirty = *dirty || inner_dirty;
     const int d = node_depth_[static_cast<std::size_t>(c)];
-    LevelCounters& lc = ctr.level[static_cast<std::size_t>(d)];
+    LevelCounters& lc = counters_.level[static_cast<std::size_t>(d)];
     if (coherence) {
       ++lc.coherence_invalidations;
     } else {
@@ -453,7 +424,7 @@ void MemorySystem::invalidate_children(int node_id, std::uint32_t mask,
     if (d == innermost_depth_) {
       memo_drop(c, line);
     } else {
-      invalidate_children(c, cmask, line, dirty, ctr, coherence);
+      invalidate_children(c, cmask, line, dirty, coherence);
     }
   };
   if (node_mask_ok_[static_cast<std::size_t>(node_id)]) {
@@ -465,12 +436,10 @@ void MemorySystem::invalidate_children(int node_id, std::uint32_t mask,
   }
 }
 
-void MemorySystem::handle_eviction(Shard& sh, int node_id,
-                                   const Cache::Evicted& evicted,
+void MemorySystem::handle_eviction(int node_id, const Cache::Evicted& evicted,
                                    std::uint64_t now) {
   const int depth = node_depth_[static_cast<std::size_t>(node_id)];
-  Counters& ctr = *sh.ctr;
-  ++ctr.level[static_cast<std::size_t>(depth)].evictions;
+  ++counters_.level[static_cast<std::size_t>(depth)].evictions;
 
   bool dirty = evicted.dirty;
   if (depth == innermost_depth_) {
@@ -479,24 +448,19 @@ void MemorySystem::handle_eviction(Shard& sh, int node_id,
     // Inclusive hierarchy: evicting here back-invalidates every descendant
     // copy; a dirty inner copy dirties the outgoing line. The victim way's
     // holder mask names the children that may hold it.
-    invalidate_children(node_id, evicted.holders, evicted.line, &dirty, ctr,
+    invalidate_children(node_id, evicted.holders, evicted.line, &dirty,
                         /*coherence=*/false);
   }
 
   if (depth == 1) {
-    note_outer_evict(sh, node_shard_[static_cast<std::size_t>(node_id)],
-                     evicted.line);
+    const int shard = node_shard_[static_cast<std::size_t>(node_id)];
+    if (shards_.size() > 1)
+      sd_delta_.push_back(SdDelta{evicted.line, shard, false});
     // Leaving the outermost cache: dirty lines are written back to memory,
     // consuming home-link bandwidth (asynchronously: no core stall).
     if (dirty) {
-      const int home = home_socket(evicted.line);
-      std::uint64_t& next_free = sh.links[static_cast<std::size_t>(home)];
-      next_free = std::max(next_free, now) +
-                  static_cast<std::uint64_t>(transfer_cycles_);
-      sh.link_used[static_cast<std::size_t>(home)] +=
-          static_cast<std::uint64_t>(transfer_cycles_);
-      sh.link_touched = true;
-      ++ctr.dram_writebacks;
+      use_link(shard, home_socket(evicted.line), now);
+      ++counters_.dram_writebacks;
     }
   } else if (dirty) {
     // Propagate dirtiness to the parent cache, which holds the line by
@@ -508,9 +472,8 @@ void MemorySystem::handle_eviction(Shard& sh, int node_id,
   }
 }
 
-void MemorySystem::write_invalidate(const ThreadInfo& ti, Shard& sh,
-                                    std::uint64_t line, std::uint8_t flags) {
-  Counters& ctr = *sh.ctr;
+void MemorySystem::write_invalidate(const ThreadInfo& ti, std::uint64_t line,
+                                    std::uint8_t flags) {
   // Copies inside our own socket, outside our own path: walk the path
   // outermost-in and sweep the sibling subtrees hanging off each path node,
   // consulting each path cache's holder mask. The caller's sock-shared flag
@@ -529,13 +492,12 @@ void MemorySystem::write_invalidate(const ThreadInfo& ti, Shard& sh,
         return;  // stale holder bit
       }
       const int d = node_depth_[static_cast<std::size_t>(c)];
-      ++ctr.level[static_cast<std::size_t>(d)].coherence_invalidations;
+      ++counters_.level[static_cast<std::size_t>(d)].coherence_invalidations;
       if (d == innermost_depth_) {
         memo_drop(c, line);
       } else {
         bool ignored = false;
-        invalidate_children(c, cmask, line, &ignored, ctr,
-                            /*coherence=*/true);
+        invalidate_children(c, cmask, line, &ignored, /*coherence=*/true);
       }
     };
     const std::uint8_t myslot = ti.slot[static_cast<std::size_t>(i - 1)];
@@ -562,24 +524,12 @@ void MemorySystem::write_invalidate(const ThreadInfo& ti, Shard& sh,
   }
 
   // Copies in other sockets. Cross-exclusive lines — the overwhelming
-  // majority — already skipped this via the flags gate in access().
-  // Windowed mode defers the event to the barrier without consulting the
-  // directory (cross-unknown lines may post a redundant event; the barrier
-  // lookup resolves it); immediate mode applies it now, identical to the
-  // pre-sharded implementation.
-  if ((flags & (Cache::kFlagCrossShared | Cache::kFlagCrossUnknown)) == 0)
-    return;
-  if (windowed_) {
-    sh.outbox.push_back(InvalEvent{line, ti.shard});
-    return;
-  }
-  SocketSet* sd = sharing_.find(line);
-  if (sd == nullptr) return;
-  if (!sd->any_other(ti.shard)) return;
-  sd->for_each_other(ti.shard,
-                     [&](int victim) { apply_remote_invalidate(victim, line); });
-  sd->clear_others(ti.shard);
-  if (sd->none()) sharing_.erase(line);
+  // majority — already skipped this via the flags gate in access(). The
+  // event is deferred to the barrier without consulting the directory
+  // (cross-unknown lines may post a redundant event; the barrier lookup
+  // resolves it).
+  if ((flags & (Cache::kFlagCrossShared | Cache::kFlagCrossUnknown)) != 0)
+    outbox_.push_back(InvalEvent{line, ti.shard});
 }
 
 bool MemorySystem::apply_remote_invalidate(int victim_shard,
@@ -596,97 +546,66 @@ bool MemorySystem::apply_remote_invalidate(int victim_shard,
     memo_drop(socket, line);
   } else {
     bool ignored = false;
-    invalidate_children(socket, cmask, line, &ignored, counters_,
-                        /*coherence=*/true);
+    invalidate_children(socket, cmask, line, &ignored, /*coherence=*/true);
   }
   return true;
 }
 
-void MemorySystem::set_windowed(bool on) {
-  windowed_ = on;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    if (on) {
-      sh.delta.level.resize(static_cast<std::size_t>(topo_.leaf_depth()));
-      sh.delta.clear();
-      sh.ctr = &sh.delta;
-      sh.link_view.assign(socket_next_free_.begin(), socket_next_free_.end());
-      std::fill(sh.link_used.begin(), sh.link_used.end(), 0);
-      sh.links = sh.link_view.data();
-      sh.outbox.clear();
-      sh.sd_delta.clear();
-      sh.link_touched = false;
+bool MemorySystem::merge_window() {
+  if (sd_delta_.empty() && outbox_.empty() && !link_touched_) return false;
+  // Every event comes from the window just run, whose shards ran in index
+  // order, so append order is shard order.
+  //
+  // 1. Sharing-directory updates: after this, sharing_ reflects
+  //    end-of-window outermost-cache residency. A fill that joins existing
+  //    holders is where cross-socket sharing is first discovered, so the
+  //    other holders' subtrees are marked here (idempotent — share_socket
+  //    stops at an already-marked root). The directory table is far larger
+  //    than the host cache, so lookups are pipelined with a prefetch
+  //    lookahead.
+  const std::size_t nd = sd_delta_.size();
+  for (std::size_t k = 0; k < nd; ++k) {
+    if (k + 8 < nd) sharing_.prefetch(sd_delta_[k + 8].line);
+    const SdDelta& d = sd_delta_[k];
+    if (d.fill) {
+      SocketSet& holders = sharing_[d.line];
+      const bool others = holders.any_other(d.shard);
+      holders.set(d.shard);
+      if (others) {
+        // The other holders — possibly marked exclusive — learn of the
+        // join. The filler's own ways are fresh cross-unknown fills and
+        // already behave conservatively, so only the others need a walk,
+        // and it short-circuits at any already-non-exclusive root.
+        holders.for_each_other(d.shard, [&](int other) {
+          share_socket(other, d.line, Cache::kFlagCrossShared,
+                       Cache::kFlagCrossShared | Cache::kFlagCrossUnknown);
+        });
+      }
     } else {
-      sh.ctr = &counters_;
-      sh.links = socket_next_free_.data();
-    }
-  }
-}
-
-void MemorySystem::merge_window() {
-  // 1. Counter deltas (before any barrier-time events charge counters_).
-  //    Every delta-mutating path starts by bumping `accesses`, so a shard
-  //    with none folded nothing — skip it (huge machines run many windows
-  //    where most shards are idle).
-  for (auto& shp : shards_) {
-    if (shp->delta.accesses == 0) continue;
-    counters_ += shp->delta;
-    shp->delta.clear();
-  }
-  // 2. Sharing-directory deltas, in shard order: after this, sharing_
-  //    reflects end-of-window outermost-cache residency. A fill that joins
-  //    existing holders is where cross-socket sharing is first discovered
-  //    in windowed mode, so mark both sides' subtrees here (idempotent —
-  //    share_socket stops at an already-marked root). The directory table
-  //    is far larger than the host cache, so lookups are pipelined with a
-  //    prefetch lookahead.
-  for (auto& shp : shards_) {
-    const std::size_t n = shp->sd_delta.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k + 8 < n) sharing_.prefetch(shp->sd_delta[k + 8].line);
-      const SdDelta& d = shp->sd_delta[k];
-      if (d.fill) {
-        SocketSet& holders = sharing_[d.line];
-        const bool others = holders.any_other(d.shard);
-        holders.set(d.shard);
-        if (others) {
-          // The other holders — possibly marked exclusive — learn of the
-          // join. The filler's own ways are fresh cross-unknown fills and
-          // already behave conservatively, so only the others need a walk,
-          // and it short-circuits at any already-non-exclusive root.
-          holders.for_each_other(d.shard, [&](int other) {
-            share_socket(other, d.line, Cache::kFlagCrossShared,
-                         Cache::kFlagCrossShared | Cache::kFlagCrossUnknown);
-          });
-        }
-      } else {
-        SocketSet* holders = sharing_.find(d.line);
-        if (holders != nullptr) {
-          holders->reset(d.shard);
-          if (holders->none()) sharing_.erase(d.line);
-        }
+      SocketSet* holders = sharing_.find(d.line);
+      if (holders != nullptr) {
+        holders->reset(d.shard);
+        if (holders->none()) sharing_.erase(d.line);
       }
     }
-    shp->sd_delta.clear();
   }
-  // 3. Cross-shard write-invalidations, in shard order. Most events come
-  //    from cross-unknown writers and resolve to "no other holder".
-  for (auto& shp : shards_) {
-    const std::size_t n = shp->outbox.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k + 8 < n) sharing_.prefetch(shp->outbox[k + 8].line);
-      const InvalEvent& ev = shp->outbox[k];
-      SocketSet* sd = sharing_.find(ev.line);
-      if (sd == nullptr) continue;
-      sd->for_each_other(ev.writer_shard, [&](int victim) {
-        apply_remote_invalidate(victim, ev.line);
-      });
-      sd->clear_others(ev.writer_shard);
-      if (sd->none()) sharing_.erase(ev.line);
-    }
-    shp->outbox.clear();
+  sd_delta_.clear();
+  // 2. Cross-shard write-invalidations. Most events come from
+  //    cross-unknown writers and resolve to "no other holder".
+  const std::size_t ni = outbox_.size();
+  for (std::size_t k = 0; k < ni; ++k) {
+    if (k + 8 < ni) sharing_.prefetch(outbox_[k + 8].line);
+    const InvalEvent& ev = outbox_[k];
+    SocketSet* sd = sharing_.find(ev.line);
+    if (sd == nullptr) continue;
+    sd->for_each_other(ev.writer_shard, [&](int victim) {
+      apply_remote_invalidate(victim, ev.line);
+    });
+    sd->clear_others(ev.writer_shard);
+    if (sd->none()) sharing_.erase(ev.line);
   }
-  // 4. Link views: each shard served its requests privately from the same
+  outbox_.clear();
+  // 3. Link views: each shard served its requests privately from the same
   //    committed baseline. The merged link frees no earlier than any
   //    shard's local estimate (requests end when the last one finishes) and
   //    no earlier than serving every shard's actual consumption back to
@@ -695,19 +614,14 @@ void MemorySystem::merge_window() {
   //    summing raw view advances would compound those gaps shard-fold every
   //    window and run the link away from the clocks.
   for (std::size_t h = 0; h < socket_next_free_.size(); ++h) {
-    const std::uint64_t base = socket_next_free_[h];
-    std::uint64_t next = base;
-    std::uint64_t backlog = base;
-    for (auto& shp : shards_) {
-      next = std::max(next, shp->link_view[h]);
-      backlog += shp->link_used[h];
-      shp->link_used[h] = 0;
-    }
-    next = std::max(next, backlog);
+    std::uint64_t next = socket_next_free_[h] + link_used_[h];
+    for (const Shard& sh : shards_) next = std::max(next, sh.link_view[h]);
     socket_next_free_[h] = next;
-    for (auto& shp : shards_) shp->link_view[h] = next;
+    for (Shard& sh : shards_) sh.link_view[h] = next;
+    link_used_[h] = 0;
   }
-  for (auto& shp : shards_) shp->link_touched = false;
+  link_touched_ = false;
+  return true;
 }
 
 std::uint64_t MemorySystem::resident_lines(int node_id) const {
@@ -734,18 +648,12 @@ void MemorySystem::reset() {
   std::fill(range_memo_.begin(), range_memo_.end(), RangeMemo{});
   counters_ = Counters{};
   counters_.level.resize(static_cast<std::size_t>(topo_.leaf_depth()));
-  windowed_ = false;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    sh.outbox.clear();
-    sh.sd_delta.clear();
-    sh.link_touched = false;
-    sh.delta = Counters{};
-    sh.ctr = &counters_;
-    sh.links = socket_next_free_.data();
+  for (Shard& sh : shards_)
     std::fill(sh.link_view.begin(), sh.link_view.end(), 0);
-    std::fill(sh.link_used.begin(), sh.link_used.end(), 0);
-  }
+  sd_delta_.clear();
+  outbox_.clear();
+  std::fill(link_used_.begin(), link_used_.end(), 0);
+  link_touched_ = false;
 }
 
 }  // namespace sbs::sim

@@ -5,10 +5,11 @@
 //   - hit at depth d       : levels[d].hit_cycles
 //   - DRAM miss            : queue wait + line transfer + effective latency,
 //     where the controller of the line's home socket is a FIFO link of
-//     `socket_bytes_per_cycle`; effective latency is dram_latency/mlp for
-//     isolated misses (modeling overlapped outstanding misses) and 0 for
-//     sequential-streak misses (modeling the hardware prefetcher), plus
-//     remote_penalty when the home socket differs from the accessor's.
+//     `socket_bytes_per_cycle`; effective latency is dram_latency / 4 for
+//     isolated misses (four overlapped outstanding misses) and 0 for
+//     sequential-streak misses (modeling the hardware prefetcher), plus a
+//     60-cycle remote penalty (a QPI hop on the paper's machine) when the
+//     home socket differs from the accessor's.
 //   - dirty evictions from the outermost cache consume home-link bandwidth
 //     but do not stall the evicting core.
 //
@@ -39,24 +40,22 @@
 // the writer's innermost way once a sweep completes. A write whose
 // innermost way carries no flag — the overwhelming majority — skips the
 // sibling sweep, the sharing-directory lookup, and the outbox entirely.
-// Windowed mode never reads the sharing directory mid-window: DRAM fills
-// start cross-unknown and writes to non-exclusive lines post a (possibly
-// redundant) barrier event, which makes a shard's execution within a window
-// independent of every other shard's while moving the cold directory
-// lookups to the barrier, where they pipeline behind explicit prefetches.
 //
-// Sharding (docs/PERF.md "Simulator performance"): every cache belongs to
-// exactly one depth-1 (socket) subtree, so all coherence state below a
-// socket is shard-local. Cross-shard state is exactly two things: which
-// *other* sockets' outermost caches hold a line (a global sharing directory
-// keyed by line, maintained from outermost-cache fills/evicts) and the
-// per-socket memory links. In the default immediate mode both are applied
-// synchronously (semantically identical to the pre-sharded
-// implementation). The engine switches to windowed mode, where cross-shard
-// write-invalidations and link consumption are buffered per shard and
-// applied at window barriers via merge_window() in deterministic shard
-// order. That deferral is part of the timing model: the committed
-// makespans are defined by it.
+// Windows (docs/PERF.md §5, "Serial windowed execution"): every cache
+// belongs to exactly one depth-1 (socket) subtree — a shard — so all
+// coherence state below a socket is shard-local. Cross-shard state is
+// exactly two things: which *other* sockets' outermost caches hold a line
+// (a global sharing directory keyed by line, maintained from
+// outermost-cache fills/evicts) and the per-socket memory links. Within a
+// window a shard reads neither: DRAM fills start cross-unknown, writes to
+// non-exclusive lines append a (possibly redundant) invalidation event,
+// fills and evictions append directory updates, and each shard charges
+// link bandwidth against its own private view of the links. The engine
+// runs shards in index order, so one buffer per kind of traffic holds the
+// events in shard order; merge_window() applies them at the barrier and
+// reconciles the link views. That deferral is part of the timing model:
+// the committed makespans are defined by it. Every counter is charged
+// directly into counters(), wherever the event lands.
 //
 // Hot-path fast path: a small per-thread memo of recently-accessed lines
 // short-circuits repeat accesses — the common case for streaming kernels
@@ -67,13 +66,12 @@
 // that line from the memos of the threads the cache serves, so a memo hit
 // proves the line is still resident — this also makes the memo sound when
 // SMT siblings share the innermost cache. Two deliberate, deterministic
-// relaxations relative to the un-memoized model, shared by both modes:
-// memo-absorbed hits do not refresh the line's LRU recency, and *repeat*
-// writes via the memo skip re-running the remote-invalidate scan, so a
-// remote copy refetched between two same-line writes by one thread is
-// invalidated one write later than strict MSI would. Both are only
-// observable as small deterministic shifts in eviction order and
-// coherence counts.
+// relaxations relative to the un-memoized model: memo-absorbed hits do not
+// refresh the line's LRU recency, and *repeat* writes via the memo skip
+// re-running the remote-invalidate scan, so a remote copy refetched between
+// two same-line writes by one thread is invalidated one write later than
+// strict MSI would. Both are only observable as small deterministic shifts
+// in eviction order and coherence counts.
 #pragma once
 
 #include <array>
@@ -92,12 +90,6 @@ namespace sbs::sim {
 struct MemoryParams {
   /// Sockets whose memory links are used (page homes). Empty = all.
   std::vector<int> allowed_sockets;
-  /// Outstanding-miss overlap factor (≥1): effective random-miss latency is
-  /// dram_latency / mlp.
-  double mlp = 4.0;
-  /// Extra cycles when the home socket is not the accessor's socket (QPI
-  /// hop on the paper's machine).
-  std::uint32_t remote_penalty_cycles = 60;
   /// Cache representation knobs (presence filters — cache.h). Applied to
   /// every cache instance.
   CacheOptions cache;
@@ -137,10 +129,9 @@ class MemorySystem {
     return line >= rm.lo && line < rm.hi && (!write || rm.wrote != 0);
   }
 
-  /// Aggregate counters. In windowed mode, complete only after the last
-  /// merge_window() (per-shard deltas are folded in at barriers).
+  /// Aggregate counters, complete at every point: cross-shard events
+  /// deferred to merge_window() charge their counters when they land.
   const Counters& counters() const { return counters_; }
-  Counters& counters() { return counters_; }
 
   /// Resident line count of a cache node (tests).
   std::uint64_t resident_lines(int node_id) const;
@@ -148,40 +139,21 @@ class MemorySystem {
   /// (cache.h filter_skips()). Deterministic like the coherence counters;
   /// the engine folds it into the run's Counters.
   std::uint64_t filter_skips_total() const;
-  /// Drop all cached state (between experiment repetitions).
+  /// Drop all cached state (between experiment repetitions). The system is
+  /// then at the start of a window.
   void reset();
 
-  int num_sockets() const { return static_cast<int>(socket_next_free_.size()); }
-  std::uint32_t line_bytes() const { return line_bytes_; }
-
-  // --- sharded execution (driven by SimEngine) ---
   /// One shard per depth-1 (socket) subtree.
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int shard_of_thread(int thread_id) const {
     return tinfo_[static_cast<std::size_t>(thread_id)].shard;
   }
-  /// Enter/leave windowed mode. While windowed, an access touches only its
-  /// own shard's state; cross-shard traffic is buffered until
-  /// merge_window().
-  void set_windowed(bool on);
-  /// Window barrier: fold per-shard counter deltas into counters(), apply
-  /// sharing-directory updates and cross-shard invalidation events in
-  /// deterministic shard order, merge per-shard link views into the
-  /// committed per-socket link state, and reseed the views. Single-threaded.
-  void merge_window();
-  /// True when the window(s) since the last merge produced no cross-shard
-  /// traffic at all: every shard's outbox and sharing-directory delta is
-  /// empty and no shard consumed link bandwidth. A quiet merge_window()
-  /// would be an identity apart from folding counter deltas — which is
-  /// commutative and can be deferred — so the engine elides the barrier
-  /// entirely (adaptive windows, engine.h). Single-threaded.
-  bool window_quiet() const {
-    for (const auto& shp : shards_) {
-      if (!shp->outbox.empty() || !shp->sd_delta.empty() || shp->link_touched)
-        return false;
-    }
-    return true;
-  }
+  /// Window barrier: apply the window's sharing-directory updates and
+  /// cross-shard invalidations in the order they were recorded, merge the
+  /// shards' link views into the committed per-socket link state, and
+  /// reseed the views. Returns false, having changed nothing, when the
+  /// window produced no cross-shard traffic: no event and no link use.
+  bool merge_window();
 
  private:
   // Deliberately smaller than the innermost cache: memo-absorbed hits skip
@@ -203,21 +175,10 @@ class MemorySystem {
     bool fill;  ///< true: set the shard bit; false: clear it.
   };
 
-  struct alignas(64) Shard {
-    Counters delta;            ///< windowed-mode counter target
-    Counters* ctr = nullptr;   ///< where access() counts (delta or global)
-    std::uint64_t* links = nullptr;  ///< link state view (local or global)
+  struct Shard {
+    /// This shard's view of when each socket's link frees up: the
+    /// committed state at the last barrier plus its own traffic since.
     std::vector<std::uint64_t> link_view;
-    /// Cycles of link service actually consumed this window (transfer time
-    /// only — never the idle gaps the view skips over with max(view, now)).
-    std::vector<std::uint64_t> link_used;
-    std::vector<InvalEvent> outbox;
-    std::vector<SdDelta> sd_delta;
-    /// Any link bandwidth consumed since the last merge (DRAM read or
-    /// writeback). Part of the window_quiet() gate: link state is the one
-    /// piece of cross-shard state merge phase 4 rebuilds, so consuming any
-    /// of it forces a real barrier.
-    bool link_touched = false;
   };
 
   /// Flattened per-thread hot-path data: the root-to-leaf cache path
@@ -266,10 +227,9 @@ class MemorySystem {
 
   int home_socket(std::uint64_t line) const;
   /// access() past the memo probe: the probe loop, miss handling, and the
-  /// coherence work. `ctr` is the caller's resolved counter target.
-  std::uint64_t access_slow(ThreadInfo& ti, Counters& ctr, int thread_id,
-                            std::uint64_t line, bool write,
-                            std::uint64_t now);
+  /// coherence work.
+  std::uint64_t access_slow(ThreadInfo& ti, int thread_id, std::uint64_t line,
+                            bool write, std::uint64_t now);
   /// access_range() for multi-line spans: whole-range absorb, then the
   /// per-line loop.
   std::uint64_t access_range_multi(int thread_id, std::uint64_t first,
@@ -287,22 +247,25 @@ class MemorySystem {
   /// recursing with each removed copy's mask. Counts per depth as
   /// back-invalidations, or coherence invalidations when `coherence`.
   void invalidate_children(int node_id, std::uint32_t mask,
-                           std::uint64_t line, bool* dirty, Counters& ctr,
-                           bool coherence);
+                           std::uint64_t line, bool* dirty, bool coherence);
   /// Fill [0, from_index] outermost-first with propagated sharing flags
-  /// (`flags` is the state computed at the hit boundary; recomputed at a
-  /// depth-1 fill from the sharing directory). Returns the innermost way's
-  /// flags — what the write path needs to decide whether any sweep is due.
-  std::uint8_t fill_path(const ThreadInfo& ti, Shard& sh, std::uint64_t line,
-                         bool write, int from_index, std::uint64_t now,
+  /// (`flags` is the state computed at the hit boundary; on a multi-socket
+  /// machine a depth-1 fill starts cross-unknown and records a
+  /// sharing-directory update). Returns the innermost way's flags — what
+  /// the write path needs to decide whether any sweep is due.
+  std::uint8_t fill_path(const ThreadInfo& ti, std::uint64_t line, bool write,
+                         int from_index, std::uint64_t now,
                          std::uint8_t flags);
-  void handle_eviction(Shard& sh, int node_id, const Cache::Evicted& evicted,
+  void handle_eviction(int node_id, const Cache::Evicted& evicted,
                        std::uint64_t now);
-  void write_invalidate(const ThreadInfo& ti, Shard& sh, std::uint64_t line,
+  /// Charge one line transfer on `home`'s link in `shard`'s view, starting
+  /// no earlier than `now`. Returns the queue wait.
+  std::uint64_t use_link(int shard, int home, std::uint64_t now);
+  void write_invalidate(const ThreadInfo& ti, std::uint64_t line,
                         std::uint8_t flags);
   /// Invalidate every copy of `line` held by `victim_shard` (all depths,
-  /// including untracked innermost copies), charging coherence counters to
-  /// the global counter block. Returns true if the shard held the line.
+  /// including untracked innermost copies). Returns true if the shard held
+  /// the line.
   bool apply_remote_invalidate(int victim_shard, std::uint64_t line);
   /// OR sharing-flag `bits` into every copy of `line` strictly below
   /// `node_id`, descending via the holder masks (`mask` = node_id's own
@@ -314,12 +277,6 @@ class MemorySystem {
   /// socket no longer holds the line).
   void share_socket(int shard, std::uint64_t line, std::uint8_t bits,
                     std::uint8_t stop_bits);
-  /// Record a depth-1 fill in the sharing directory and return the new
-  /// way's cross-socket flag: exact (exclusive/shared, with arising walks
-  /// into the other holders) in immediate mode, kFlagCrossUnknown in
-  /// windowed mode where the directory is read-only until the barrier.
-  std::uint8_t outer_fill_flags(Shard& sh, int shard, std::uint64_t line);
-  void note_outer_evict(Shard& sh, int shard, std::uint64_t line);
 
   const machine::Topology& topo_;
   MemoryParams params_;
@@ -328,7 +285,6 @@ class MemorySystem {
   int innermost_depth_ = 1;  ///< tree depth of the innermost cache level
   std::uint64_t page_lines_shift_;  ///< log2(lines per page)
   bool memo_enabled_ = false;
-  bool windowed_ = false;
 
   /// Cache instance per cache node id; index aligned with topology ids
   /// (nullptr for the root and leaves).
@@ -358,14 +314,23 @@ class MemorySystem {
   /// Committed virtual time when each socket's memory link frees up.
   std::vector<std::uint64_t> socket_next_free_;
   double transfer_cycles_;  ///< line transfer time on a socket link
-  std::uint64_t isolated_miss_cycles_ = 0;  ///< dram_latency / mlp
+  std::uint64_t isolated_miss_cycles_ = 0;  ///< latency of an isolated miss
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   /// line -> set of shards whose outermost (depth-1) cache holds it.
-  /// Mutated only in immediate mode or at barriers; read-only to shards
-  /// during a window. SocketSet stays a single inline word up to 64
-  /// sockets and spills per-entry above (socket_set.h).
+  /// Mutated only at barriers. SocketSet stays a single inline word up to
+  /// 64 sockets and spills per-entry above (socket_set.h).
   FlatMap<SocketSet> sharing_;
+
+  // Cross-shard traffic of the current window, for merge_window().
+  std::vector<SdDelta> sd_delta_;
+  std::vector<InvalEvent> outbox_;
+  /// Per home socket: cycles of link service consumed this window, summed
+  /// over shards (transfer time only — never the idle gaps a view skips
+  /// over with max(view, now)).
+  std::vector<std::uint64_t> link_used_;
+  bool link_touched_ = false;  ///< any link use this window
+
   Counters counters_;
 };
 
@@ -398,9 +363,8 @@ inline std::uint64_t MemorySystem::access(int thread_id, std::uint64_t addr,
                                           bool write, std::uint64_t now) {
   const std::uint64_t line = addr >> line_shift_;
   ThreadInfo& ti = tinfo_[static_cast<std::size_t>(thread_id)];
-  Counters& ctr = *shards_[static_cast<std::size_t>(ti.shard)]->ctr;
-  ++ctr.accesses;
-  if (write) ++ctr.writes;
+  ++counters_.accesses;
+  if (write) ++counters_.writes;
 
   // Fast path: repeat access to a recently-touched line — no set scan, no
   // coherence work. The memos are precise (see memo_drop), so a match
@@ -419,15 +383,15 @@ inline std::uint64_t MemorySystem::access(int thread_id, std::uint64_t addr,
       // detector — otherwise recently-touched lines punch holes in the
       // streak and starve range promotion.
       extend_streak(rm, line, write);
-      ++ctr.level[static_cast<std::size_t>(ti.inner_depth)].hits;
+      ++counters_.level[static_cast<std::size_t>(ti.inner_depth)].hits;
       return ti.hit_cycles[0];
     }
     if (line >= rm.lo && line < rm.hi && (!write || rm.wrote != 0)) {
-      ++ctr.level[static_cast<std::size_t>(ti.inner_depth)].hits;
+      ++counters_.level[static_cast<std::size_t>(ti.inner_depth)].hits;
       return ti.hit_cycles[0];
     }
   }
-  return access_slow(ti, ctr, thread_id, line, write, now);
+  return access_slow(ti, thread_id, line, write, now);
 }
 
 inline std::uint64_t MemorySystem::access_range(int thread_id,

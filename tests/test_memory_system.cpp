@@ -1,7 +1,10 @@
 // Unit tests for the simulated memory hierarchy: hit/miss placement,
-// inclusion, coherence invalidation, writebacks, bandwidth queueing, and the
-// page→socket bandwidth throttle.
+// inclusion, coherence invalidation, writebacks, bandwidth queueing, the
+// page→socket bandwidth throttle, and the window protocol that defers
+// cross-socket effects to merge_window().
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "machine/topology.h"
 #include "sim/memory_system.h"
@@ -57,14 +60,88 @@ TEST_F(MemSys, WriteInvalidatesRemoteCopies) {
   mem.access(0, 0x400000, false, 0);
   mem.access(2, 0x400000, false, 0);  // both sockets now share the line
   EXPECT_EQ(mem.counters().dram_reads, 2u);
+  mem.merge_window();
 
   mem.access(0, 0x400000, true, 0);  // write by thread 0
+  mem.merge_window();
   EXPECT_GT(mem.counters().level[1].coherence_invalidations +
                 mem.counters().level[2].coherence_invalidations,
             0u);
   // Thread 2 must now re-fetch from memory (its copies were invalidated).
   mem.access(2, 0x400000, false, 0);
   EXPECT_EQ(mem.counters().dram_reads, 3u);
+}
+
+// --- the window protocol: cross-socket effects land at the barrier ---
+
+TEST_F(MemSys, RemoteCopySurvivesUntilTheBarrier) {
+  MemorySystem mem(topo, params);
+  const std::uint64_t addr = 0x400000;
+  const int remote_l1 = topo.node(topo.leaf_of_thread(2)).parent;
+  const int remote_l2 = topo.nodes_at_depth(1)[1];
+  mem.access(0, addr, false, 0);
+  mem.access(2, addr, false, 0);
+  EXPECT_TRUE(mem.merge_window());  // the directory learns both holders
+
+  mem.access(0, addr, true, 0);
+  // Within the window the writer sees only its own socket: thread 2's
+  // copies are untouched, and nothing has been charged for them yet.
+  EXPECT_EQ(mem.resident_lines(remote_l1), 1u);
+  EXPECT_EQ(mem.resident_lines(remote_l2), 1u);
+  EXPECT_EQ(mem.counters().level[1].coherence_invalidations, 0u);
+  EXPECT_EQ(mem.counters().level[2].coherence_invalidations, 0u);
+
+  EXPECT_TRUE(mem.merge_window());
+  EXPECT_EQ(mem.resident_lines(remote_l1), 0u);
+  EXPECT_EQ(mem.resident_lines(remote_l2), 0u);
+  EXPECT_EQ(mem.counters().level[1].coherence_invalidations, 1u);
+  EXPECT_EQ(mem.counters().level[2].coherence_invalidations, 1u);
+}
+
+TEST_F(MemSys, RemoteLinkTrafficQueuesOnlyAfterTheBarrier) {
+  params.allowed_sockets = {0};  // every page homed on socket 0's link
+  MemorySystem mem(topo, params);
+  const std::uint64_t line = topo.config().levels[1].line;
+  const auto transfer = static_cast<std::uint64_t>(
+      static_cast<double>(line) / topo.config().socket_bytes_per_cycle);
+  constexpr std::uint64_t kBurst = 16;
+  for (std::uint64_t i = 0; i < kBurst; ++i)
+    mem.access(0, 0x1000000 + i * line, false, 0);
+
+  // Same window: socket 1's view of the link is still empty.
+  std::uint64_t wait0 = mem.counters().queue_wait_cycles;
+  mem.access(2, 0x2000000, false, 0);
+  EXPECT_EQ(mem.counters().queue_wait_cycles, wait0);
+
+  // After the barrier it queues behind both sockets' transfers, served
+  // back to back from the committed baseline.
+  EXPECT_TRUE(mem.merge_window());
+  wait0 = mem.counters().queue_wait_cycles;
+  mem.access(2, 0x3000000, false, 0);
+  EXPECT_EQ(mem.counters().queue_wait_cycles - wait0, (kBurst + 1) * transfer);
+}
+
+TEST_F(MemSys, QuietWindowMergesNothing) {
+  // Twin systems see the same traffic; only `a` calls merge_window() after
+  // a window with no cross-socket traffic.
+  params.allowed_sockets = {0};
+  MemorySystem a(topo, params);
+  MemorySystem b(topo, params);
+  for (MemorySystem* m : {&a, &b}) {
+    for (std::uint64_t i = 0; i < 16; ++i)
+      m->access(0, 0x1000000 + i * 64, false, 0);
+    EXPECT_TRUE(m->merge_window());
+    // L1 hits only: no DRAM traffic, no outermost fill, no shared write.
+    for (std::uint64_t i = 0; i < 16; ++i)
+      m->access(0, 0x1000000 + i * 64, false, 1000);
+  }
+  const std::string before = a.counters().summary();
+  EXPECT_FALSE(a.merge_window());
+  EXPECT_EQ(a.counters().summary(), before);
+  EXPECT_EQ(a.counters().summary(), b.counters().summary());
+  // Link state too: the next DRAM read waits exactly as long in both.
+  EXPECT_EQ(a.access(2, 0x2000000, false, 0), b.access(2, 0x2000000, false, 0));
+  EXPECT_EQ(a.counters().summary(), b.counters().summary());
 }
 
 TEST_F(MemSys, DirtyEvictionWritesBack) {

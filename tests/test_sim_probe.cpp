@@ -79,17 +79,6 @@ TEST_P(CacheChurnEquivalence, IdenticalVictimsHitsAndResidency) {
             << kReps[i].name << " step " << step;
         ASSERT_EQ(dirty, ref_dirty) << kReps[i].name << " step " << step;
       }
-    } else if (op == 1) {  // combined probe+fill
-      Cache::Evicted ref_ev;
-      const bool ref_filled = caches[0].fill_if_absent(line, false, &ref_ev);
-      for (std::size_t i = 1; i < caches.size(); ++i) {
-        Cache::Evicted ev;
-        ASSERT_EQ(caches[i].fill_if_absent(line, false, &ev), ref_filled)
-            << kReps[i].name << " step " << step;
-        ASSERT_EQ(ev.valid, ref_ev.valid) << kReps[i].name;
-        ASSERT_EQ(ev.line, ref_ev.line) << kReps[i].name;
-        ASSERT_EQ(ev.dirty, ref_ev.dirty) << kReps[i].name;
-      }
     } else {  // probe; fill on miss (the walk's pattern)
       const bool write = rng.next_below(3) == 0;
       const bool ref_hit = caches[0].probe_and_touch(line, write);
@@ -129,8 +118,7 @@ TEST(CacheRepresentation, ClearResetsFilterAndSkipCount) {
   o.filter_min_tag_bytes = 0;
   Cache cache(4096, 64, 4, o);
   for (std::uint64_t l = 0; l < 200; ++l) {
-    Cache::Evicted ev;
-    cache.fill_if_absent(l, false, &ev);
+    if (!cache.probe_and_touch(l, false)) cache.fill(l, false);
   }
   for (std::uint64_t l = 1000; l < 1200; ++l) {
     cache.probe_and_touch(l, false);
@@ -141,8 +129,7 @@ TEST(CacheRepresentation, ClearResetsFilterAndSkipCount) {
   EXPECT_EQ(cache.resident_lines(), 0u);
   // Post-clear churn still behaves (filter was zeroed with the tags).
   for (std::uint64_t l = 0; l < 200; ++l) {
-    Cache::Evicted ev;
-    cache.fill_if_absent(l, false, &ev);
+    if (!cache.probe_and_touch(l, false)) cache.fill(l, false);
     EXPECT_TRUE(cache.contains(l));
   }
 }
