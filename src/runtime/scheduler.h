@@ -50,17 +50,29 @@ class Scheduler {
   virtual std::string stats_string() const { return ""; }
 
   // --- Simulator idle fast-forward (sim/engine.h) ---
-  // Both hooks are called only from the simulator's single-threaded pump.
+  // These hooks are called only from the simulator's single-threaded pump.
   // A scheduler that keeps the defaults has every idle poll executed as a
   // real get() call; wrappers keep them too, so a wrapped scheduler's
   // callbacks all stay visible to the wrapper.
 
-  /// If get(thread_id) is certain to return nullptr and change nothing,
-  /// the exact number of instrumented ops (sched/ops.h) that call would
-  /// count; otherwise -1. Counts no ops itself.
+  /// If get(thread_id) is certain to return nullptr, and to change nothing
+  /// that charge_idle_polls() does not apply, the exact number of
+  /// instrumented ops (sched/ops.h) that call would count; otherwise -1.
+  /// Counts no ops itself.
   virtual std::int64_t idle_poll_ops(int thread_id) const {
     (void)thread_id;
     return -1;
+  }
+
+  /// Apply the side effects of `polls` > 0 consecutive get(thread_id)
+  /// calls that idle_poll_ops() certified, as one new charge; or, for
+  /// `polls` < 0, take back the last -polls polls of the thread's most
+  /// recent charge, leaving the state the remaining polls produce. Counts
+  /// no ops. The default does nothing: it suits a scheduler whose
+  /// certified polls change nothing (SB, SB-D).
+  virtual void charge_idle_polls(int thread_id, std::int64_t polls) {
+    (void)thread_id;
+    (void)polls;
   }
 
   /// Register (non-null) or clear (nullptr) a log that receives the cache

@@ -18,6 +18,7 @@ void WorkStealing::start(const machine::Topology& topo, int num_threads) {
     threads_.push_back(std::make_unique<PerThread>());
     threads_.back()->rng = Rng(seed_ * 0x9e37 + static_cast<std::uint64_t>(t));
   }
+  idle_charges_.assign(static_cast<std::size_t>(num_threads), IdleCharge{});
 }
 
 void WorkStealing::finish() {
@@ -27,6 +28,10 @@ void WorkStealing::finish() {
 
 void WorkStealing::add(Job* job, int thread_id) {
   threads_[static_cast<std::size_t>(thread_id)]->jobs.push_bottom(job);
+  if (push_log_ != nullptr) {
+    ++queued_jobs_;
+    push_log_->push_back(topo_->root());
+  }
 }
 
 int WorkStealing::steal_choice(int thread_id) {
@@ -42,7 +47,10 @@ int WorkStealing::steal_choice(int thread_id) {
 Job* WorkStealing::get(int thread_id) {
   PerThread& self = *threads_[static_cast<std::size_t>(thread_id)];
   Job* job = nullptr;
-  if (self.jobs.pop_bottom(&job)) return job;
+  if (self.jobs.pop_bottom(&job)) {
+    if (push_log_ != nullptr) --queued_jobs_;
+    return job;
+  }
 
   // Local deque empty: steal from the top of a random other victim's deque.
   const int choice = steal_choice(thread_id);
@@ -55,6 +63,7 @@ Job* WorkStealing::get(int thread_id) {
               static_cast<std::uint64_t>(choice));
   PerThread& victim = *threads_[static_cast<std::size_t>(choice)];
   if (victim.jobs.steal_top(&job)) {
+    if (push_log_ != nullptr) --queued_jobs_;
     ++self.steals;
     trace::emit(thread_id, trace::EventKind::kStealSuccess,
                 static_cast<std::uint64_t>(choice));
@@ -62,6 +71,43 @@ Job* WorkStealing::get(int thread_id) {
   }
   ++self.failed_steals;
   return nullptr;
+}
+
+std::int64_t WorkStealing::idle_poll_ops(int thread_id) const {
+  (void)thread_id;
+  if (push_log_ == nullptr || queued_jobs_ != 0) return -1;
+  return num_threads_ < 2 ? 1 : 2;
+}
+
+void WorkStealing::charge_idle_polls(int thread_id, std::int64_t polls) {
+  PerThread& self = *threads_[static_cast<std::size_t>(thread_id)];
+  IdleCharge& charge = idle_charges_[static_cast<std::size_t>(thread_id)];
+  if (polls >= 0) {
+    charge.rng_before = self.rng;
+    charge.polls = static_cast<std::uint64_t>(polls);
+    self.failed_steals += charge.polls;
+  } else {
+    const auto refund = static_cast<std::uint64_t>(-polls);
+    SBS_CHECK_MSG(refund <= charge.polls,
+                  "WS: refund exceeds the thread's last idle charge");
+    charge.polls -= refund;
+    self.failed_steals -= refund;
+    self.rng = charge.rng_before;
+  }
+  // Every deque is empty, so each poll is exactly get()'s failed attempt:
+  // a victim draw and nothing else.
+  for (std::uint64_t i = 0; i < charge.polls; ++i) steal_choice(thread_id);
+}
+
+bool WorkStealing::set_push_log(std::vector<int>* log) {
+  if (log != nullptr) {
+    for (const auto& t : threads_)
+      SBS_CHECK_MSG(t->jobs.empty(),
+                    "WS: push log registered over queued jobs");
+  }
+  push_log_ = log;
+  queued_jobs_ = 0;
+  return true;
 }
 
 void WorkStealing::done(Job* job, int thread_id, bool task_completed) {

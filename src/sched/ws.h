@@ -41,6 +41,18 @@ class WorkStealing : public runtime::Scheduler {
   void done(runtime::Job* job, int thread_id, bool task_completed) override;
   std::string name() const override { return "WS"; }
   std::string stats_string() const override;
+  /// 2 while a push log is registered and every deque is empty (get()
+  /// then fails one pop and one steal; 1 on a one-thread run, which has
+  /// no victim), else -1.
+  std::int64_t idle_poll_ops(int thread_id) const override;
+  /// A charged poll draws its victim through steal_choice() and counts a
+  /// failed steal; a refund restores the RNG saved at the charge and
+  /// replays the draws of the polls it keeps.
+  void charge_idle_polls(int thread_id, std::int64_t polls) override;
+  /// Any thread may steal any job, so every add() logs the root. Register
+  /// the log while every deque is empty (between start() and the first
+  /// add()): the logged count of queued jobs starts at zero.
+  bool set_push_log(std::vector<int>* log) override;
 
   std::uint64_t total_steals() const;
   std::uint64_t total_failed_steals() const;
@@ -63,7 +75,20 @@ class WorkStealing : public runtime::Scheduler {
   std::vector<std::unique_ptr<PerThread>> threads_;
 
  private:
+  /// A thread's most recent idle charge: its RNG before the charge, and
+  /// the polls charged.
+  struct IdleCharge {
+    Rng rng_before{0};
+    std::uint64_t polls = 0;
+  };
+
   std::uint64_t seed_;
+  /// set_push_log(): only the simulator registers one, and it calls every
+  /// callback from its single pump thread; null on real threads.
+  std::vector<int>* push_log_ SBS_CONFINED(simulator pump) = nullptr;
+  /// Jobs held by all deques while push_log_ is registered.
+  std::uint64_t queued_jobs_ SBS_CONFINED(simulator pump) = 0;
+  std::vector<IdleCharge> idle_charges_ SBS_CONFINED(simulator pump);
 };
 
 }  // namespace sbs::sched

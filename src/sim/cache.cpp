@@ -6,9 +6,9 @@ namespace sbs::sim {
 
 Cache::Cache(std::uint64_t size_bytes, std::uint32_t line_bytes,
              std::uint32_t assoc, const CacheOptions& options)
-    : line_bytes_(line_bytes), assoc_(assoc) {
-  SBS_CHECK(size_bytes > 0 && line_bytes_ > 0);
-  const std::uint64_t lines = size_bytes / line_bytes_;
+    : assoc_(assoc) {
+  SBS_CHECK(size_bytes > 0 && line_bytes > 0);
+  const std::uint64_t lines = size_bytes / line_bytes;
   if (assoc_ == 0 || assoc_ >= lines) {
     assoc_ = static_cast<std::uint32_t>(lines);  // fully associative
   }
@@ -69,7 +69,6 @@ void Cache::insert_line(std::uint64_t set, std::uint64_t* tags, Meta* meta,
   meta[0] = Meta{0, static_cast<std::uint8_t>(dirty ? 1 : 0), flags};
   if (filter_on_) filter_add(set, line);
   ++resident_;
-  ++generation_;
 }
 
 Cache::Evicted Cache::fill(std::uint64_t line, bool dirty,
@@ -127,7 +126,6 @@ bool Cache::invalidate(std::uint64_t line, bool* was_dirty,
   meta[assoc_ - 1] = Meta{};
   if (filter_on_) filter_sub(set, line);
   --resident_;
-  ++generation_;
   return true;
 }
 
@@ -155,12 +153,18 @@ bool Cache::contains(std::uint64_t line) const {
 }
 
 void Cache::clear() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(meta_.begin(), meta_.end(), Meta{});
-  std::fill(filter_.begin(), filter_.end(), 0u);
+  // Invalid ways are (0, Meta{}) and sink to the back, so a set whose way
+  // 0 is invalid holds no line and is already clear. With a filter, a zero
+  // presence word proves the same from one sequential read per set; a
+  // word left nonzero by a saturated bucket only costs a redundant clear.
+  for (std::uint64_t set = 0; set < num_sets_; ++set) {
+    if (filter_on_ ? filter_[set] == 0 : tags_at(set)[0] == 0) continue;
+    std::fill_n(tags_at(set), assoc_, 0);
+    std::fill_n(meta_at(set), assoc_, Meta{});
+    if (filter_on_) filter_[set] = 0;
+  }
   resident_ = 0;
   filter_skips_ = 0;
-  ++generation_;
 }
 
 }  // namespace sbs::sim

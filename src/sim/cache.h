@@ -104,8 +104,8 @@ class Cache {
   // behind until the next sweep). Coherence sweeps use it to probe only
   // plausible holders instead of every child. Lives in the cold metadata
   // array; caches whose children are hardware threads simply never have
-  // bits set. Neither call moves the LRU order or bumps the generation —
-  // they are directory metadata, not accesses.
+  // bits set. Neither call moves the LRU order — they are directory
+  // metadata, not accesses.
 
   /// Mark child `bit` as holding `line`. The line must be resident (the
   /// hierarchy is inclusive: a child fill implies the parent holds it).
@@ -131,17 +131,10 @@ class Cache {
     __builtin_prefetch(tags_at(set));
   }
 
-  std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint32_t associativity() const { return assoc_; }
   std::uint64_t num_sets() const { return num_sets_; }
   /// Lines currently resident (for tests / occupancy introspection).
   std::uint64_t resident_lines() const { return resident_; }
-
-  /// Bumped on every fill, invalidation, and clear() — i.e. whenever a
-  /// line's residency (not just its LRU position) may have changed. An
-  /// unchanged generation proves any previously observed residency still
-  /// holds (tests and occupancy probes).
-  std::uint64_t generation() const { return generation_; }
 
   // --- representation introspection (benches / tests / summaries) ---
   bool filter_enabled() const { return filter_on_; }
@@ -226,8 +219,8 @@ class Cache {
   }
 
   /// Insert `line` into `set` (absent by contract), evicting the LRU
-  /// victim if the set is full (*out). Updates residency, generation, and
-  /// the presence filter.
+  /// victim if the set is full (*out). Updates residency and the presence
+  /// filter.
   void insert_line(std::uint64_t set, std::uint64_t* tags, Meta* meta,
                    std::uint64_t line, bool dirty, std::uint8_t flags,
                    Evicted* out);
@@ -240,11 +233,9 @@ class Cache {
   }
   Meta* meta_at(std::uint64_t set) { return meta_.data() + set * assoc_; }
 
-  std::uint32_t line_bytes_;
   std::uint32_t assoc_;
   std::uint64_t num_sets_;
   std::uint64_t resident_ = 0;
-  std::uint64_t generation_ = 0;
   std::uint64_t filter_skips_ = 0;
   bool filter_on_ = false;
   std::vector<std::uint64_t> tags_;  ///< num_sets_*assoc_, (line<<1)|valid

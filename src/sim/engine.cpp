@@ -232,6 +232,7 @@ bool SimEngine::try_batch(VCore& core, std::uint64_t clk) {
   core.empty_cy += polls * period;
   core.empty_wakeups += polls;
   count_empty(polls);
+  sched_->charge_idle_polls(core.tid, static_cast<std::int64_t>(polls));
   if (busy) {
     busy_batches_.push_back(&core);
   } else {
@@ -257,6 +258,7 @@ void SimEngine::undo_batch(VCore& core, std::uint64_t clk, int tid,
   core.empty_cy -= undone * period;
   core.empty_wakeups -= undone;
   consecutive_empty_ -= std::min(consecutive_empty_, undone);
+  sched_->charge_idle_polls(core.tid, -static_cast<std::int64_t>(undone));
   if (requeue) {
     queue_core(core, /*idle=*/true);  // its old entry is now stale
     ++stale_entries_;

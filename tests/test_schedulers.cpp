@@ -3,7 +3,11 @@
 // distributions, and the registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "machine/topology.h"
 #include "runtime/jobs.h"
@@ -71,6 +75,112 @@ TEST(WS, GetReturnsNullWhenEverythingEmpty) {
   ws.start(topo, 4);
   for (int t = 0; t < 4; ++t) EXPECT_EQ(ws.get(t), nullptr);
   EXPECT_NE(ws.stats_string().find("failed_steals"), std::string::npos);
+}
+
+// The simulator's idle fast-forward (sim/engine.h) charges a WS/PWS
+// thread's empty polls without calling get() only while idle_poll_ops()
+// certifies them: a push log is registered and every deque is empty.
+// Every add() must log the root, since any thread may steal the job.
+TEST(WS, IdlePollOpsNeedLogAndEmptyDeques) {
+  const Topology topo(Preset("mini"));
+  for (const char* name : {"WS", "PWS"}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      auto sched = MakeScheduler(name);
+      sched->start(topo, threads);
+      for (int t = 0; t < threads; ++t) EXPECT_EQ(sched->idle_poll_ops(t), -1);
+
+      std::vector<int> log;
+      EXPECT_TRUE(sched->set_push_log(&log));
+      for (int t = 0; t < threads; ++t) {
+        std::uint64_t ops0 = ops_snapshot();
+        const std::int64_t predicted = sched->idle_poll_ops(t);
+        EXPECT_EQ(ops_snapshot(), ops0);
+        EXPECT_EQ(predicted, threads < 2 ? 1 : 2);
+        ops0 = ops_snapshot();
+        EXPECT_EQ(sched->get(t), nullptr);
+        EXPECT_EQ(static_cast<std::int64_t>(ops_snapshot() - ops0), predicted);
+      }
+      EXPECT_TRUE(log.empty());
+
+      JobFixture fx;
+      Job* job = fx.make();
+      sched->add(job, threads - 1);
+      EXPECT_EQ(log, std::vector<int>{topo.root()});
+      for (int t = 0; t < threads; ++t) EXPECT_EQ(sched->idle_poll_ops(t), -1);
+      // Taking the job, by a pop or (two threads: thread 1 is thread 0's
+      // only victim) by a steal, empties the deques again.
+      EXPECT_EQ(sched->get(threads == 2 ? 0 : threads - 1), job);
+      EXPECT_EQ(sched->idle_poll_ops(0), threads < 2 ? 1 : 2);
+      sched->set_push_log(nullptr);
+      for (int t = 0; t < threads; ++t) EXPECT_EQ(sched->idle_poll_ops(t), -1);
+      sched->finish();
+    }
+  }
+}
+
+// A charge of k certified polls refunded j must leave the thread where
+// k - j real failed get()s leave its twin: the same failed_steals, and the
+// victim RNG at the same point, so that the next steal takes the same
+// victim's job. PWS draws one or two numbers per poll, local or remote.
+TEST(WS, IdleChargeEqualsFailedPolls) {
+  const Topology topo(Preset("xeon7560_s8"));
+  const int threads = topo.num_threads();
+  const int tid = 5;
+  for (const char* name : {"WS", "PWS"}) {
+    for (const auto& [k, j] : {std::pair{1, 0}, {1, 1}, {37, 0}, {37, 12},
+                               {37, 37}, {500, 499}}) {
+      SCOPED_TRACE(std::string(name) + " k=" + std::to_string(k) +
+                   " j=" + std::to_string(j));
+      auto charged = MakeScheduler(name);
+      auto twin = MakeScheduler(name);
+      std::vector<int> charged_log;
+      std::vector<int> twin_log;
+      charged->start(topo, threads);
+      twin->start(topo, threads);
+      ASSERT_TRUE(charged->set_push_log(&charged_log));
+      ASSERT_TRUE(twin->set_push_log(&twin_log));
+
+      const std::uint64_t ops0 = ops_snapshot();
+      charged->charge_idle_polls(tid, k);
+      if (j != 0) charged->charge_idle_polls(tid, -j);
+      EXPECT_EQ(ops_snapshot(), ops0);
+      for (int p = 0; p < k - j; ++p) EXPECT_EQ(twin->get(tid), nullptr);
+      EXPECT_EQ(charged->stats_string(), twin->stats_string());
+
+      // One job on every other thread: the next draw finds a job wherever
+      // it lands.
+      JobFixture fx;
+      std::vector<Job*> charged_jobs(static_cast<std::size_t>(threads));
+      std::vector<Job*> twin_jobs(static_cast<std::size_t>(threads));
+      for (int t = 0; t < threads; ++t) {
+        if (t == tid) continue;
+        charged_jobs[static_cast<std::size_t>(t)] = fx.make();
+        twin_jobs[static_cast<std::size_t>(t)] = fx.make();
+        charged->add(charged_jobs[static_cast<std::size_t>(t)], t);
+        twin->add(twin_jobs[static_cast<std::size_t>(t)], t);
+      }
+      const auto victim = [](const std::vector<Job*>& jobs, Job* job) {
+        return job == nullptr ? -1
+                              : static_cast<int>(
+                                    std::find(jobs.begin(), jobs.end(), job) -
+                                    jobs.begin());
+      };
+      const int charged_victim = victim(charged_jobs, charged->get(tid));
+      EXPECT_NE(charged_victim, -1);
+      EXPECT_EQ(charged_victim, victim(twin_jobs, twin->get(tid)));
+      EXPECT_EQ(charged->stats_string(), twin->stats_string());
+
+      for (auto* sched : {charged.get(), twin.get()}) {
+        sched->set_push_log(nullptr);
+        for (int t = 0; t < threads; ++t) {
+          while (sched->get(t) != nullptr) {
+          }
+        }
+        sched->finish();
+      }
+    }
+  }
 }
 
 TEST(PWS, VictimChoiceFavorsOwnSocket) {

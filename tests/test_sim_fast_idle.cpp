@@ -1,10 +1,11 @@
 // The simulator's idle fast-forward (sim/engine.h) must be invisible to the
-// simulation. SB and SB-D let the pump charge a quiet core's empty polls
-// up to the window horizon in one step and undo the part a later push
-// invalidates; every simulated number must equal the run that executes
-// each poll. The reference run wraps the same scheduler in a forwarding
-// decorator that keeps the interface's defaults for idle_poll_ops() and
-// set_push_log(), which sends every poll down the per-poll path.
+// simulation. SB, SB-D, WS and PWS let the pump charge a quiet core's
+// empty polls up to the window horizon in one step and undo the part a
+// later push invalidates; every simulated number, the work stealers'
+// steal counts included, must equal the run that executes each poll. The
+// reference run wraps the same scheduler in a forwarding decorator that
+// keeps the interface's defaults for idle_poll_ops(), charge_idle_polls()
+// and set_push_log(), which sends every poll down the per-poll path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -50,11 +51,11 @@ class PerPoll : public runtime::Scheduler {
   std::unique_ptr<runtime::Scheduler> inner_;
 };
 
-/// SB where all but every eighth thread count `extra` more ops per get(),
-/// and so poll with a longer period when quiet. Every shipped machine is a
-/// symmetric tree whose quiet cores all share one period. Mixing two makes
-/// the few short-period cores poll between their batched long-period
-/// peers, whose polls are then missing from the event queue.
+/// A scheduler where all but every eighth thread count `extra` more ops
+/// per get(), and so poll with a longer period when quiet. Every shipped
+/// machine is a symmetric tree whose quiet cores all share one period.
+/// Mixing two makes the few short-period cores poll between their batched
+/// long-period peers, whose polls are then missing from the event queue.
 class UnevenPolls final : public PerPoll {
  public:
   UnevenPolls(std::unique_ptr<runtime::Scheduler> inner, std::uint64_t extra)
@@ -68,6 +69,9 @@ class UnevenPolls final : public PerPoll {
     const std::int64_t ops = inner_->idle_poll_ops(thread_id);
     if (ops < 0 || !slow(thread_id)) return ops;
     return ops + static_cast<std::int64_t>(extra_);
+  }
+  void charge_idle_polls(int thread_id, std::int64_t polls) override {
+    inner_->charge_idle_polls(thread_id, polls);
   }
   bool set_push_log(std::vector<int>* log) override {
     return inner_->set_push_log(log);
@@ -169,7 +173,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("xeon7560_s8", "mini_deep",
                                          "xeon7560_fig4.cfg",
                                          "huge16_4level.cfg"),
-                       ::testing::Values("SB", "SB-D"),
+                       ::testing::Values("SB", "SB-D", "WS", "PWS"),
                        ::testing::Values("quicksort", "samplesort", "matmul")),
     [](const auto& info) {
       std::string name = std::get<0>(info.param) + "_" +
@@ -205,7 +209,7 @@ TEST(FastIdle, EqualsPerPollRunAtOtherPollCosts) {
     cfg.sched_op_cycles = op_cycles;
     cfg.idle_poll_cycles = poll_cycles;
     const machine::Topology topo(cfg);
-    for (const char* sched_name : {"SB", "SB-D"}) {
+    for (const char* sched_name : {"SB", "SB-D", "WS", "PWS"}) {
       for (const char* kernel_name : {"quicksort", "samplesort"}) {
         const std::string label = std::string(sched_name) + " " +
                                   kernel_name +
@@ -222,7 +226,7 @@ TEST(FastIdle, EqualsPerPollRunAtOtherPollCosts) {
 TEST(FastIdle, EqualsPerPollRunWithUnequalPollPeriods) {
   for (const char* machine_name : {"xeon7560_s8", "mini_deep"}) {
     const machine::Topology topo(Machine(machine_name));
-    for (const char* sched_name : {"SB", "SB-D"}) {
+    for (const char* sched_name : {"SB", "SB-D", "WS", "PWS"}) {
       for (const std::uint64_t quantum : {10000, 60000}) {
         const std::string label = std::string(machine_name) + " " +
                                   sched_name + " q=" +
