@@ -58,7 +58,6 @@ struct MachineConfig {
   // Derived helpers.
   int num_threads() const;
   int num_cache_levels() const;  ///< levels below memory.
-  std::uint64_t level_size(int depth) const { return levels[depth].size; }
   /// Leaf position of a logical thread id (applies core_map).
   int leaf_position(int thread_id) const;
   /// Validate invariants (sizes decrease going down, fanouts nonzero, ...).

@@ -34,20 +34,24 @@ struct Stream {
 };
 
 struct State {
+  // The region is reserved in the constructor, so the function-local
+  // static's thread-safe initialization covers it when two threads make the
+  // process's first allocation at once.
+  State() {
+    void* region = mmap(kBaseHint, kReserve, PROT_NONE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    SBS_CHECK_MSG(region != MAP_FAILED, "arena reservation failed");
+    base = static_cast<std::byte*>(region);
+  }
+
   util::Mutex lock;
-  std::byte* base SBS_INIT_ONLY = nullptr;  // set once, before threads
+  std::byte* base SBS_INIT_ONLY = nullptr;  // set once, in the constructor
   Stream host SBS_GUARDED_BY(lock);
   std::map<int, Stream> transient SBS_GUARDED_BY(lock);  // by stream id
 };
 
 State& state() {
   static State s;
-  if (s.base == nullptr) {
-    void* region = mmap(kBaseHint, kReserve, PROT_NONE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    SBS_CHECK_MSG(region != MAP_FAILED, "arena reservation failed");
-    s.base = static_cast<std::byte*>(region);
-  }
   return s;
 }
 
@@ -118,14 +122,6 @@ void free(void* ptr, std::size_t bytes) {
   // Release physical pages, keep the mapping for deterministic reuse.
   (void)madvise(ptr, size, MADV_DONTNEED);
   p.stream->free_by_size[size].push_back(ptr);
-}
-
-std::size_t allocated_bytes() {
-  State& s = state();
-  util::MutexLock guard(s.lock);
-  std::size_t total = s.host.live;
-  for (const auto& [id, st] : s.transient) total += st.live;
-  return total;
 }
 
 void reset_transient() {

@@ -94,7 +94,6 @@ namespace arena {
 inline constexpr int kStreams = 2048;
 void* alloc(std::size_t bytes);          ///< bytes rounded up to 2 MB chunks
 void free(void* ptr, std::size_t bytes);
-std::size_t allocated_bytes();           ///< current live total (diagnostics)
 /// Rewind every per-core transient stream (all its chunks must have been
 /// freed) so the next run's mid-strand allocations replay the same
 /// addresses. Host-stream allocations (kernel inputs) are untouched.

@@ -108,12 +108,6 @@ class StrandOps {
     }
     delete job;
   }
-
-  /// Number of strands a fork will hand to the scheduler (children now, the
-  /// continuation later) — used by engines for accounting only.
-  static std::size_t fork_width(Strand& strand) {
-    return strand.forked() ? strand.children().size() + 1 : 0;
-  }
 };
 
 }  // namespace sbs::runtime

@@ -1,7 +1,7 @@
 // Chase–Lev work-stealing deque (Chase & Lev, SPAA 2005; memory ordering
 // after Lê et al., PPoPP 2013). Owner pushes/pops at the bottom without
 // locks; thieves steal from the top with a single CAS. Backs the hot paths
-// of every work-stealing scheduler here (WS, PWS, CilkWS); `top_` and
+// of the work stealer (sched/ws.h: WS, PWS and CilkWS); `top_` and
 // `bottom_` live on separate cache lines so thief CAS traffic does not
 // invalidate the owner's push/pop line.
 #pragma once

@@ -1,6 +1,5 @@
 #include "sched/registry.h"
 
-#include "sched/cilk_ws.h"
 #include "sched/pws.h"
 #include "sched/ws.h"
 #include "util/assert.h"

@@ -52,51 +52,53 @@ Job* WorkStealing::get(int thread_id) {
     return job;
   }
 
-  // Local deque empty: steal from the top of a random other victim's deque.
-  const int choice = steal_choice(thread_id);
-  if (choice < 0) {
+  // Local deque empty: steal from the top of random other victims' deques.
+  for (int attempt = 0; attempt < steal_attempts_; ++attempt) {
+    const int choice = steal_choice(thread_id);
+    if (choice >= 0) {
+      SBS_ASSERT(choice != thread_id);
+      trace::emit(thread_id, trace::EventKind::kStealAttempt,
+                  static_cast<std::uint64_t>(choice));
+      PerThread& victim = *threads_[static_cast<std::size_t>(choice)];
+      if (victim.jobs.steal_top(&job)) {
+        if (push_log_ != nullptr) --queued_jobs_;
+        ++self.steals;
+        trace::emit(thread_id, trace::EventKind::kStealSuccess,
+                    static_cast<std::uint64_t>(choice));
+        return job;
+      }
+    }
     ++self.failed_steals;
-    return nullptr;
   }
-  SBS_ASSERT(choice != thread_id);
-  trace::emit(thread_id, trace::EventKind::kStealAttempt,
-              static_cast<std::uint64_t>(choice));
-  PerThread& victim = *threads_[static_cast<std::size_t>(choice)];
-  if (victim.jobs.steal_top(&job)) {
-    if (push_log_ != nullptr) --queued_jobs_;
-    ++self.steals;
-    trace::emit(thread_id, trace::EventKind::kStealSuccess,
-                static_cast<std::uint64_t>(choice));
-    return job;
-  }
-  ++self.failed_steals;
   return nullptr;
 }
 
 std::int64_t WorkStealing::idle_poll_ops(int thread_id) const {
   (void)thread_id;
   if (push_log_ == nullptr || queued_jobs_ != 0) return -1;
-  return num_threads_ < 2 ? 1 : 2;
+  return num_threads_ < 2 ? 1 : 1 + steal_attempts_;
 }
 
 void WorkStealing::charge_idle_polls(int thread_id, std::int64_t polls) {
   PerThread& self = *threads_[static_cast<std::size_t>(thread_id)];
   IdleCharge& charge = idle_charges_[static_cast<std::size_t>(thread_id)];
+  const auto attempts = static_cast<std::uint64_t>(steal_attempts_);
   if (polls >= 0) {
     charge.rng_before = self.rng;
     charge.polls = static_cast<std::uint64_t>(polls);
-    self.failed_steals += charge.polls;
+    self.failed_steals += charge.polls * attempts;
   } else {
     const auto refund = static_cast<std::uint64_t>(-polls);
     SBS_CHECK_MSG(refund <= charge.polls,
                   "WS: refund exceeds the thread's last idle charge");
     charge.polls -= refund;
-    self.failed_steals -= refund;
+    self.failed_steals -= refund * attempts;
     self.rng = charge.rng_before;
   }
-  // Every deque is empty, so each poll is exactly get()'s failed attempt:
-  // a victim draw and nothing else.
-  for (std::uint64_t i = 0; i < charge.polls; ++i) steal_choice(thread_id);
+  // Every deque is empty, so each poll is exactly get()'s failed attempts:
+  // a victim draw each and nothing else.
+  for (std::uint64_t i = 0; i < charge.polls * attempts; ++i)
+    steal_choice(thread_id);
 }
 
 bool WorkStealing::set_push_log(std::vector<int>* log) {

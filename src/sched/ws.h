@@ -5,7 +5,8 @@
 // deque is empty — picks a victim uniformly at random among the *other*
 // workers and steals one job from the *top* of the victim's deque (the
 // paper's WS, Appendix A, steals from other deques; a self-steal after the
-// local-deque-empty check would be a guaranteed wasted attempt).
+// local-deque-empty check would be a guaranteed wasted attempt). WS and
+// PWS make one steal attempt per get(); CilkWS makes a burst of four.
 //
 // The deques are lock-free Chase–Lev deques (sched/chase_lev.h): the owner
 // fast path is a handful of plain loads/stores, a thief is one CAS. This
@@ -32,7 +33,7 @@ namespace sbs::sched {
 class WorkStealing : public runtime::Scheduler {
  public:
   /// seed controls victim selection (deterministic experiments).
-  explicit WorkStealing(std::uint64_t seed = 1) : seed_(seed) {}
+  explicit WorkStealing(std::uint64_t seed = 1) : WorkStealing(seed, 1) {}
 
   void start(const machine::Topology& topo, int num_threads) override;
   void finish() override;
@@ -41,13 +42,13 @@ class WorkStealing : public runtime::Scheduler {
   void done(runtime::Job* job, int thread_id, bool task_completed) override;
   std::string name() const override { return "WS"; }
   std::string stats_string() const override;
-  /// 2 while a push log is registered and every deque is empty (get()
-  /// then fails one pop and one steal; 1 on a one-thread run, which has
-  /// no victim), else -1.
+  /// 1 + steal attempts while a push log is registered and every deque is
+  /// empty (get() then fails one pop and each steal; 1 on a one-thread
+  /// run, which has no victim), else -1.
   std::int64_t idle_poll_ops(int thread_id) const override;
-  /// A charged poll draws its victim through steal_choice() and counts a
-  /// failed steal; a refund restores the RNG saved at the charge and
-  /// replays the draws of the polls it keeps.
+  /// A charged poll draws each attempt's victim through steal_choice() and
+  /// counts a failed steal per attempt; a refund restores the RNG saved at
+  /// the charge and replays the draws of the polls it keeps.
   void charge_idle_polls(int thread_id, std::int64_t polls) override;
   /// Any thread may steal any job, so every add() logs the root. Register
   /// the log while every deque is empty (between start() and the first
@@ -58,6 +59,10 @@ class WorkStealing : public runtime::Scheduler {
   std::uint64_t total_failed_steals() const;
 
  protected:
+  /// steal_attempts: victims get() tries once the local deque is empty.
+  WorkStealing(std::uint64_t seed, int steal_attempts)
+      : seed_(seed), steal_attempts_(steal_attempts) {}
+
   /// Victim choice; never the caller itself. Returns -1 when there is no
   /// eligible victim (single-worker runs). Subclasses (PWS) override to
   /// bias by topology distance.
@@ -83,12 +88,22 @@ class WorkStealing : public runtime::Scheduler {
   };
 
   std::uint64_t seed_;
+  int steal_attempts_;
   /// set_push_log(): only the simulator registers one, and it calls every
   /// callback from its single pump thread; null on real threads.
   std::vector<int>* push_log_ SBS_CONFINED(simulator pump) = nullptr;
   /// Jobs held by all deques while push_log_ is registered.
   std::uint64_t queued_jobs_ SBS_CONFINED(simulator pump) = 0;
   std::vector<IdleCharge> idle_charges_ SBS_CONFINED(simulator pump);
+};
+
+/// CilkWS — WS with a burst of four steal attempts per get(). It stands in
+/// for the Cilk Plus runtime that the paper uses to show its WS is
+/// representative (§5, Figs. 5–6).
+class CilkWorkStealing final : public WorkStealing {
+ public:
+  explicit CilkWorkStealing(std::uint64_t seed = 1) : WorkStealing(seed, 4) {}
+  std::string name() const override { return "CilkWS"; }
 };
 
 }  // namespace sbs::sched

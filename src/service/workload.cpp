@@ -70,7 +70,6 @@ Request Workload::next() {
     // Instances are never destroyed mid-run, so the created count is the
     // live total (leased + pooled).
     if (created_ >= options_.max_instances) {
-      ++dropped_;
       req.dropped = true;
       return req;
     }

@@ -71,7 +71,6 @@ class Workload {
   void release(kernels::Kernel* instance);
 
   std::uint64_t created_instances() const { return created_; }
-  std::uint64_t dropped_requests() const { return dropped_; }
 
  private:
   struct Tenant {
@@ -93,7 +92,6 @@ class Workload {
   std::map<PoolKey, std::vector<std::unique_ptr<kernels::Kernel>>> free_;
   std::map<kernels::Kernel*, PoolKey> leased_;
   std::uint64_t created_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace sbs::service

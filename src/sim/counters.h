@@ -20,12 +20,6 @@ struct LevelCounters {
   std::uint64_t evictions = 0;
   std::uint64_t back_invalidations = 0;  ///< inclusion-driven (parent evict)
   std::uint64_t coherence_invalidations = 0;  ///< remote-write-driven
-
-  double miss_ratio() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(misses) /
-                                  static_cast<double>(total);
-  }
 };
 
 struct Counters {

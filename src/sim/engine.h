@@ -25,14 +25,14 @@
 //
 // Idle fast-forward. Most pump events on a many-core machine are empty
 // polls, and a scheduler that implements Scheduler::idle_poll_ops() and
-// set_push_log() (SB, SB-D, WS, PWS) lets the pump charge them without
-// calling get(). A core is *quiet* when its get() must return nullptr
-// because every queue it may take from is empty (SB: its probe path; WS:
-// every deque); each of its polls then costs a fixed period c = ops *
-// sched_op_cycles + idle_poll_cycles. An idle re-queue is
-// max(clock + c, second), where `second` is the next other event, and it
-// binds (takes `second`) only when no other event lies within c. Two
-// guarantees rule that out for every poll of a pump pass:
+// set_push_log() (SB, SB-D and the work stealers WS, PWS and CilkWS) lets
+// the pump charge them without calling get(). A core is *quiet* when its
+// get() must return nullptr because every queue it may take from is empty
+// (SB: its probe path; WS: every deque); each of its polls then costs a
+// fixed period c = ops * sched_op_cycles + idle_poll_cycles. An idle
+// re-queue is max(clock + c, second), where `second` is the next other
+// event, and it binds (takes `second`) only when no other event lies
+// within c. Two guarantees rule that out for every poll of a pump pass:
 //   busy  a busy core's clock is within idle_poll_cycles of the pop; busy
 //         clocks only fall within a pass, so this holds for every later
 //         poll of every core;
@@ -42,8 +42,8 @@
 // Under either, the pump charges all k = (horizon - t) / c + 1 polls of a
 // quiet core popped at t in one step and re-queues it at t + k * c;
 // Scheduler::charge_idle_polls() applies what those polls change in the
-// scheduler (a WS poll's victim draw and failed steal). The scheduler logs
-// the cache node of every queue push (WS: the root, as any thread may
+// scheduler (a WS poll's victim draws and failed steals). The scheduler
+// logs the cache node of every queue push (WS: the root, as any thread may
 // steal); after each scheduler call at event (clk, tid), every busy batch
 // of a thread under a pushed node, and every peer batch, gives back its
 // polls ordered after that event, scheduler effects included, and is
@@ -53,9 +53,8 @@
 // charged in earlier passes are final: the per-poll pump also ran them
 // before any later event. The result is bit-identical to executing every
 // poll (tests/test_sim_fast_idle.cpp); docs/PERF.md §9 has the numbers.
-// Schedulers that keep the interface defaults (CilkWS, whose polls have no
-// fixed op count, and the wrappers), and every run with the trace recorder
-// on, poll one at a time.
+// Schedulers that keep the interface defaults (the wrappers), and every run
+// with the trace recorder on, poll one at a time.
 //
 // Semantics are exact (strand bodies execute real C++ on host memory);
 // timing is the model documented in memory_system.h. Scheduler queue
@@ -180,8 +179,7 @@ class SimEngine {
   /// in shard_busy_ instead. An undone batch leaves its core's old entry
   /// behind: an entry is live only while its core is `queued` at exactly
   /// that clock. stale_entries_ counts the others, so the queue is only
-  /// purged while some exist (never under CilkWS, whose polls are not
-  /// batched).
+  /// purged while some exist (never in a run that batches no polls).
   EventQueue events_;
   std::size_t stale_entries_ = 0;
   std::vector<std::vector<VCore*>> shard_busy_;  ///< per shard, sorted

@@ -66,9 +66,4 @@ EventKind EventKindFromName(const std::string& name);
 /// distinguishable without Chrome's B/E phase field.
 const char* JsonlKindName(EventKind kind);
 
-/// True for kFork..kAdmissionFail (exported as Chrome instant events).
-inline bool IsInstant(EventKind kind) {
-  return kind >= EventKind::kFork && kind < EventKind::kNumKinds;
-}
-
 }  // namespace sbs::trace

@@ -83,7 +83,10 @@ TEST(WS, GetReturnsNullWhenEverythingEmpty) {
 // Every add() must log the root, since any thread may steal the job.
 TEST(WS, IdlePollOpsNeedLogAndEmptyDeques) {
   const Topology topo(Preset("mini"));
-  for (const char* name : {"WS", "PWS"}) {
+  for (const char* name : {"WS", "PWS", "CilkWS"}) {
+    // One failed pop and a failed steal per attempt: CilkWS tries four
+    // victims.
+    const std::int64_t idle_ops = std::string(name) == "CilkWS" ? 5 : 2;
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
       auto sched = MakeScheduler(name);
@@ -96,7 +99,7 @@ TEST(WS, IdlePollOpsNeedLogAndEmptyDeques) {
         std::uint64_t ops0 = ops_snapshot();
         const std::int64_t predicted = sched->idle_poll_ops(t);
         EXPECT_EQ(ops_snapshot(), ops0);
-        EXPECT_EQ(predicted, threads < 2 ? 1 : 2);
+        EXPECT_EQ(predicted, threads < 2 ? 1 : idle_ops);
         ops0 = ops_snapshot();
         EXPECT_EQ(sched->get(t), nullptr);
         EXPECT_EQ(static_cast<std::int64_t>(ops_snapshot() - ops0), predicted);
@@ -111,7 +114,7 @@ TEST(WS, IdlePollOpsNeedLogAndEmptyDeques) {
       // Taking the job, by a pop or (two threads: thread 1 is thread 0's
       // only victim) by a steal, empties the deques again.
       EXPECT_EQ(sched->get(threads == 2 ? 0 : threads - 1), job);
-      EXPECT_EQ(sched->idle_poll_ops(0), threads < 2 ? 1 : 2);
+      EXPECT_EQ(sched->idle_poll_ops(0), threads < 2 ? 1 : idle_ops);
       sched->set_push_log(nullptr);
       for (int t = 0; t < threads; ++t) EXPECT_EQ(sched->idle_poll_ops(t), -1);
       sched->finish();
@@ -122,12 +125,13 @@ TEST(WS, IdlePollOpsNeedLogAndEmptyDeques) {
 // A charge of k certified polls refunded j must leave the thread where
 // k - j real failed get()s leave its twin: the same failed_steals, and the
 // victim RNG at the same point, so that the next steal takes the same
-// victim's job. PWS draws one or two numbers per poll, local or remote.
+// victim's job. PWS draws one or two numbers per attempt, local or remote;
+// CilkWS makes four attempts per poll.
 TEST(WS, IdleChargeEqualsFailedPolls) {
   const Topology topo(Preset("xeon7560_s8"));
   const int threads = topo.num_threads();
   const int tid = 5;
-  for (const char* name : {"WS", "PWS"}) {
+  for (const char* name : {"WS", "PWS", "CilkWS"}) {
     for (const auto& [k, j] : {std::pair{1, 0}, {1, 1}, {37, 0}, {37, 12},
                                {37, 37}, {500, 499}}) {
       SCOPED_TRACE(std::string(name) + " k=" + std::to_string(k) +

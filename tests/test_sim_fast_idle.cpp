@@ -1,5 +1,5 @@
 // The simulator's idle fast-forward (sim/engine.h) must be invisible to the
-// simulation. SB, SB-D, WS and PWS let the pump charge a quiet core's
+// simulation. SB, SB-D, WS, PWS and CilkWS let the pump charge a quiet core's
 // empty polls up to the window horizon in one step and undo the part a
 // later push invalidates; every simulated number, the work stealers'
 // steal counts included, must equal the run that executes each poll. The
@@ -173,7 +173,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("xeon7560_s8", "mini_deep",
                                          "xeon7560_fig4.cfg",
                                          "huge16_4level.cfg"),
-                       ::testing::Values("SB", "SB-D", "WS", "PWS"),
+                       ::testing::Values("SB", "SB-D", "WS", "PWS", "CilkWS"),
                        ::testing::Values("quicksort", "samplesort", "matmul")),
     [](const auto& info) {
       std::string name = std::get<0>(info.param) + "_" +
@@ -202,31 +202,47 @@ TEST_P(FastIdle, EqualsPerPollRun) {
 // free ops (0 cycles) a get() that succeeds leaves the core's clock where
 // it was popped, so a stale queue entry at that clock must not pass for a
 // live one.
-TEST(FastIdle, EqualsPerPollRunAtOtherPollCosts) {
-  for (const auto& [op_cycles, poll_cycles] :
-       {std::pair{0u, 37u}, {7u, 0u}, {200u, 5000u}, {1u, 1u}}) {
-    machine::MachineConfig cfg = Machine("huge16_4level.cfg");
-    cfg.sched_op_cycles = op_cycles;
-    cfg.idle_poll_cycles = poll_cycles;
-    const machine::Topology topo(cfg);
-    for (const char* sched_name : {"SB", "SB-D", "WS", "PWS"}) {
-      for (const char* kernel_name : {"quicksort", "samplesort"}) {
-        const std::string label = std::string(sched_name) + " " +
-                                  kernel_name +
-                                  " op=" + std::to_string(op_cycles) +
-                                  " poll=" + std::to_string(poll_cycles);
-        ExpectIdentical(RunOnce(topo, sched_name, kernel_name, 10000, false),
-                        RunOnce(topo, sched_name, kernel_name, 10000, true),
-                        label);
-      }
-    }
+using PollCosts = std::pair<unsigned, unsigned>;  // (op, poll) cycles
+using PollCostCell = std::tuple<PollCosts, std::string>;
+
+class FastIdlePollCosts : public ::testing::TestWithParam<PollCostCell> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, FastIdlePollCosts,
+    ::testing::Combine(::testing::Values(PollCosts(0, 37), PollCosts(7, 0),
+                                         PollCosts(200, 5000), PollCosts(1, 1)),
+                       ::testing::Values("SB", "SB-D", "WS", "PWS", "CilkWS")),
+    [](const auto& info) {
+      const PollCosts costs = std::get<0>(info.param);
+      std::string name = "op" + std::to_string(costs.first) + "_poll" +
+                         std::to_string(costs.second) + "_" +
+                         std::get<1>(info.param);
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+TEST_P(FastIdlePollCosts, EqualsPerPollRun) {
+  const auto& [costs, sched_name] = GetParam();
+  const auto& [op_cycles, poll_cycles] = costs;
+  machine::MachineConfig cfg = Machine("huge16_4level.cfg");
+  cfg.sched_op_cycles = op_cycles;
+  cfg.idle_poll_cycles = poll_cycles;
+  const machine::Topology topo(cfg);
+  for (const char* kernel_name : {"quicksort", "samplesort"}) {
+    const std::string label = sched_name + " " + kernel_name +
+                              " op=" + std::to_string(op_cycles) +
+                              " poll=" + std::to_string(poll_cycles);
+    ExpectIdentical(RunOnce(topo, sched_name, kernel_name, 10000, false),
+                    RunOnce(topo, sched_name, kernel_name, 10000, true),
+                    label);
   }
 }
 
 TEST(FastIdle, EqualsPerPollRunWithUnequalPollPeriods) {
   for (const char* machine_name : {"xeon7560_s8", "mini_deep"}) {
     const machine::Topology topo(Machine(machine_name));
-    for (const char* sched_name : {"SB", "SB-D", "WS", "PWS"}) {
+    for (const char* sched_name : {"SB", "SB-D", "WS", "PWS", "CilkWS"}) {
       for (const std::uint64_t quantum : {10000, 60000}) {
         const std::string label = std::string(machine_name) + " " +
                                   sched_name + " q=" +

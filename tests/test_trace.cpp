@@ -3,6 +3,7 @@
 // trace must parse as JSON), and a golden comparison of the trace's anchor
 // histogram against the space-bounded scheduler's own counters.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -35,8 +36,10 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
+/// Unique per process, so that test cases run side by side never share a
+/// file.
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
 }
 
 TEST(Recorder, RingWraparoundKeepsNewestInOrder) {

@@ -1,6 +1,7 @@
 // Tests for the JSONL trace format (schema 2 + schema 1 compat) and the
 // offline replay checker (verify::CheckTrace / tools/trace_check).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -35,8 +36,10 @@ Job* tree(std::uint64_t bytes, int depth) {
       bytes, 64);
 }
 
+/// Unique per process, so that test cases run side by side never share a
+/// file.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
 }
 
 /// Run `tree` under `sched_name` on mini with tracing and export the JSONL
@@ -68,14 +71,18 @@ std::string export_run(const std::string& sched_name) {
 
 TEST(TraceCheck, RealTracesFromAllSchedulersPass) {
   for (const char* name : {"WS", "PWS", "SB", "SB-D"}) {
-    const TraceCheckResult result = CheckTraceFile(export_run(name));
+    const std::string path = export_run(name);
+    const TraceCheckResult result = CheckTraceFile(path);
+    std::remove(path.c_str());
     EXPECT_TRUE(result.ok()) << name << ": " << result.report();
     EXPECT_GT(result.events, 0u) << name;
   }
 }
 
 TEST(TraceCheck, SbTraceReplaysOccupancyAndBalances) {
-  const TraceCheckResult result = CheckTraceFile(export_run("SB"));
+  const std::string path = export_run("SB");
+  const TraceCheckResult result = CheckTraceFile(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(result.ok()) << result.report();
   EXPECT_GT(result.anchors, 0u);
   EXPECT_EQ(result.anchors, result.releases);
@@ -87,7 +94,9 @@ TEST(TraceCheck, RoundTripPreservesHeaderAndEvents) {
   const std::string path = export_run("SB");
   JsonlTrace parsed;
   std::string error;
-  ASSERT_TRUE(trace::ReadJsonlTrace(path, &parsed, &error)) << error;
+  const bool read = trace::ReadJsonlTrace(path, &parsed, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read) << error;
   EXPECT_EQ(parsed.schema, trace::kJsonlTraceSchema);
   EXPECT_EQ(parsed.scheduler, "SB");
   EXPECT_EQ(parsed.engine, "sim");
@@ -280,7 +289,9 @@ TEST(TraceCheck, Schema1TraceStillParses) {
 
   JsonlTrace parsed;
   std::string error;
-  ASSERT_TRUE(trace::ReadJsonlTrace(path, &parsed, &error)) << error;
+  const bool read = trace::ReadJsonlTrace(path, &parsed, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read) << error;
   EXPECT_EQ(parsed.schema, 1);
   EXPECT_TRUE(parsed.params.config_text.empty());
   ASSERT_EQ(parsed.records.size(), 2u);
@@ -301,6 +312,7 @@ TEST(TraceCheck, MalformedFileIsAParseViolation) {
   std::fprintf(f, "this is not json\n");
   std::fclose(f);
   const TraceCheckResult result = CheckTraceFile(path);
+  std::remove(path.c_str());
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.report().find("does not parse"), std::string::npos);
 }

@@ -1,7 +1,7 @@
 """Layering: enforce the declared module DAG over the include graph.
 
 The declared DAG (docs/ANALYSIS.md §layering) follows the dependency
-spine util → runtime → {sched, trace, perf} → {sim, verify} → service
+spine util → runtime → {sched, trace} → {sim, verify} → service
 → harness, with machine and kernels as leaf modules (machine above
 util only; kernels above the runtime fork/join API only). ALLOWED maps
 each module to the full set of modules it may include from; an edge
@@ -26,7 +26,6 @@ from .findings import Finding
 # module -> modules it may include from (besides itself).
 ALLOWED = {
     "util": set(),
-    "perf": set(),                 # standalone PMU wrapper
     "machine": {"util"},           # leaf: topology/config parsing
     "trace": {"util"},             # event substrate under the engines
     "runtime": {"util", "machine"},
@@ -36,7 +35,7 @@ ALLOWED = {
     "verify": {"util", "machine", "trace", "runtime", "sched"},
     "service": {"util", "machine", "runtime", "sched", "kernels", "verify"},
     "harness": {"util", "machine", "trace", "runtime", "sched", "kernels",
-                "perf", "sim", "verify", "service"},
+                "sim", "verify", "service"},
 }
 
 # (file, target module) -> reason. Edges here are deliberate and
