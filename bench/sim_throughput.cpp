@@ -26,6 +26,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernel.h"
@@ -58,28 +59,10 @@ struct Measurement {
   sim::Counters counters;
 };
 
-/// Everything a run simulates, compared exactly: the makespan, the summary
-/// line (traffic, per-level hits and misses, engine counters), and the
-/// per-level eviction and invalidation counts the summary omits.
-bool same_result(std::uint64_t makespan_a, const sim::Counters& a,
-                 std::uint64_t makespan_b, const sim::Counters& b) {
-  if (makespan_a != makespan_b || a.summary() != b.summary() ||
-      a.level.size() != b.level.size())
-    return false;
-  for (std::size_t d = 0; d < a.level.size(); ++d) {
-    const sim::LevelCounters& x = a.level[d];
-    const sim::LevelCounters& y = b.level[d];
-    if (x.evictions != y.evictions ||
-        x.back_invalidations != y.back_invalidations ||
-        x.coherence_invalidations != y.coherence_invalidations)
-      return false;
-  }
-  return true;
-}
-
 /// Run `kernel_name` under `sched_name` on `cfg` `reps` times, each run
 /// bracketed by HostProbe runs; keep the best wall time. Every rep must
-/// simulate exactly what the first one did.
+/// return exactly the SimResult the first one did: makespan, every counter,
+/// every core's time split and the scheduler's stats.
 Measurement measure(const machine::MachineConfig& cfg,
                     const std::string& kernel_name, std::size_t n,
                     std::uint64_t quantum, int reps,
@@ -93,6 +76,7 @@ Measurement measure(const machine::MachineConfig& cfg,
   kernels::KernelParams kp;
   kp.n = n;
   Measurement m;
+  sim::SimResult first;
   probe.run();
   for (int rep = 0; rep < reps; ++rep) {
     auto kernel = kernels::MakeKernel(kernel_name, kp);
@@ -101,18 +85,23 @@ Measurement measure(const machine::MachineConfig& cfg,
     spec.name = sched_name;
     auto sched = sched::MakeScheduler(spec);
     const double t0 = now_s();
-    const sim::SimResult r = eng.run(*sched, kernel->make_root());
+    sim::SimResult r = eng.run(*sched, kernel->make_root());
     const double dt = now_s() - t0;
     probe.run();
     SBS_CHECK_MSG(kernel->verify(), "bench kernel verify failed");
-    SBS_CHECK_MSG(rep == 0 || same_result(m.makespan, m.counters,
-                                          r.makespan_cycles, r.counters),
-                  "simulator nondeterministic across repetitions");
-    m.makespan = r.makespan_cycles;
-    m.accesses = r.counters.accesses;
-    m.counters = r.counters;
+    if (rep == 0) {
+      first = std::move(r);
+    } else if (!(r == first)) {
+      const std::string diff = "nondeterministic: rep 0 " +
+                               first.counters.summary() + " | rep " +
+                               std::to_string(rep) + " " + r.counters.summary();
+      SBS_CHECK_MSG(false, diff.c_str());
+    }
     m.best_wall_s = std::min(m.best_wall_s, dt);
   }
+  m.makespan = first.makespan_cycles;
+  m.accesses = first.counters.accesses;
+  m.counters = first.counters;
   std::vector<double> probes = probe.samples();
   std::sort(probes.begin(), probes.end());
   m.probe_s = probes[probes.size() / 2];
@@ -138,7 +127,6 @@ void emit(JsonWriter& w, const char* key, const Measurement& m) {
   w.kv("window_merges", m.counters.window_merges);
   w.kv("pump_passes", m.counters.pump_passes);
   w.kv("fiber_switches", m.counters.fiber_switches);
-  w.kv("inline_strands", m.counters.inline_strands);
   w.end_object();
   w.end_object();
 }
@@ -200,13 +188,12 @@ int main(int argc, char** argv) {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "sim_throughput");
-  w.kv("schema_version", 5);
+  w.kv("schema_version", 6);
   w.kv("smoke", smoke);
   w.kv("kernel", "samplesort");
   w.kv("sched", "WS");
   w.kv("n", n);
   w.kv("skew_quantum", quantum);
-  w.kv("inline_strands", true);
   w.kv("host_cpus",
        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   // Cache-representation defaults in effect (CacheOptions, cache.h).

@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<runtime::Scheduler> sched = sched::MakeScheduler(spec);
   verify::VerifyingScheduler* checker = nullptr;
   if (verify_invariants) {
-    auto wrapped = verify::Wrap(std::move(sched));
+    auto wrapped =
+        std::make_unique<verify::VerifyingScheduler>(std::move(sched));
     checker = wrapped.get();
     sched = std::move(wrapped);
   }
@@ -180,7 +181,6 @@ int main(int argc, char** argv) {
       ov.window_merges = r.counters.window_merges;
       ov.pump_passes = r.counters.pump_passes;
       ov.fiber_switches = r.counters.fiber_switches;
-      ov.inline_strands = r.counters.inline_strands;
       export_trace(*engine.recorder(), &ov);
     }
   }

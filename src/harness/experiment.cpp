@@ -67,7 +67,8 @@ std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
         std::unique_ptr<runtime::Scheduler> sched = sched::MakeScheduler(ss);
         verify::VerifyingScheduler* checker = nullptr;
         if (spec.verify_invariants) {
-          auto wrapped = verify::Wrap(std::move(sched));
+          auto wrapped =
+              std::make_unique<verify::VerifyingScheduler>(std::move(sched));
           checker = wrapped.get();
           sched = std::move(wrapped);
         }
@@ -100,7 +101,6 @@ std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
             ov.window_merges = r.counters.window_merges;
             ov.pump_passes = r.counters.pump_passes;
             ov.fiber_switches = r.counters.fiber_switches;
-            ov.inline_strands = r.counters.inline_strands;
             SBS_CHECK_MSG(
                 trace::WriteMetricsJsonl(trace::Analyze(*engine.recorder()),
                                          spec.metrics_path, cell_label,

@@ -88,13 +88,6 @@ class Job : public ArenaBacked {
     return size(block_size);
   }
 
-  /// True if execute() is known to perform no simulated memory accesses and
-  /// no simulated work — e.g. an empty join continuation. The simulator may
-  /// run such strands directly on its pump without a fiber switch
-  /// (engine.cpp); an engine asserts the promise by installing a trapping
-  /// access sink while the strand runs. Conservative default: false.
-  virtual bool inline_runnable() const { return false; }
-
   Task* task() const { return task_; }
   /// True if this job is the first strand of its task (set by the framework).
   bool starts_task() const { return starts_task_; }

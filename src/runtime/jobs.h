@@ -50,14 +50,13 @@ Job* make_job(F&& fn, std::uint64_t task_bytes = kNoSize,
 }
 
 /// An empty continuation strand (used when a fork has nothing to do after
-/// the join). A distinct type rather than an empty LambdaJob so engines can
-/// see the emptiness (inline_runnable) and skip the fiber switch.
+/// the join). A distinct type rather than an empty LambdaJob so that it
+/// carries its own strand footprint for space-bounded schedulers.
 class NopJob final : public Job {
  public:
   explicit NopJob(std::uint64_t strand_bytes) : strand_bytes_(strand_bytes) {}
 
   void execute(Strand&) override {}
-  bool inline_runnable() const override { return true; }
 
   std::uint64_t strand_size(std::uint32_t block_size) const override {
     return SBJob::round_to_lines(strand_bytes_, block_size);

@@ -26,6 +26,8 @@ struct ThreadBreakdown {
 
   double overhead_s() const { return add_s + done_s + get_s + empty_s; }
   double total_s() const { return active_s + overhead_s(); }
+
+  bool operator==(const ThreadBreakdown&) const = default;
 };
 
 struct RunStats {
@@ -80,6 +82,8 @@ struct RunStats {
   }
 
   std::string summary() const;
+
+  bool operator==(const RunStats&) const = default;
 };
 
 }  // namespace sbs::runtime

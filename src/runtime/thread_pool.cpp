@@ -1,15 +1,12 @@
 #include "runtime/thread_pool.h"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "runtime/idle_backoff.h"
 #include "runtime/strand_ops.h"
-#include "util/cpu_relax.h"
 #include "util/assert.h"
 
 namespace sbs::runtime {
@@ -26,40 +23,9 @@ double seconds_between(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Best-effort pinning of the calling thread to a host CPU. Failure is fine
-/// (containers, small hosts): correctness never depends on placement.
-void try_pin(int host_cpu) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(host_cpu), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-
 struct alignas(64) WorkerSlot {
   ThreadBreakdown times;
 };
-
-// Tiered idle backoff: a worker whose get() returned nothing first spins
-// with `pause` (cheap, keeps the thread hot for an immediate retry), then
-// yields to the OS, then sleeps in short bursts. Without this, every idle
-// core hammers get() in a tight loop, saturating victim deques and SB node
-// locks with probe traffic — overhead charged to the *scheduler* in §3.3
-// even though it is pure engine behaviour. The streak resets whenever a job
-// arrives, so the fast tiers always cover the transient case; the sleep
-// tier caps wakeup latency at kIdleSleep.
-constexpr int kSpinRounds = 8;    // streaks 0..7: 1..128 pause iterations
-constexpr int kYieldRounds = 16;  // streaks 8..23: sched_yield
-constexpr auto kIdleSleep = std::chrono::microseconds(50);
-
-void idle_backoff(int streak) {
-  if (streak < kSpinRounds) {
-    for (int i = 0; i < (1 << streak); ++i) util::cpu_relax();
-  } else if (streak < kSpinRounds + kYieldRounds) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(kIdleSleep);
-  }
-}
 
 }  // namespace
 
@@ -91,10 +57,8 @@ RunStats ThreadPool::run(Scheduler& sched, Job* root_job) {
   const auto wall_start = Clock::now();
   sched.add(root_job, /*thread_id=*/0);
 
-  const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
-
   auto worker = [&](int tid) {
-    try_pin(static_cast<int>(static_cast<unsigned>(tid) % host_cpus));
+    pin_worker(tid);
     JobArena::Scope arena_scope(arenas_[static_cast<std::size_t>(tid)].get());
     ThreadBreakdown& bd = slots[static_cast<std::size_t>(tid)].times;
     std::vector<Job*> to_add;

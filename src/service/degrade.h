@@ -54,13 +54,6 @@ class DegradeMux final : public runtime::Scheduler {
   }
   std::string stats_string() const override;
 
-  runtime::Scheduler& primary() { return *primary_; }
-  runtime::Scheduler& fallback() { return *fallback_; }
-  std::uint64_t degraded_strands() const {
-    // Relaxed: stats counter (tests read it after the run quiesced).
-    return degraded_strands_.load(std::memory_order_relaxed);
-  }
-
  private:
   static bool is_degraded(runtime::Task* task) {
     if (task->anchor == kDegradedAnchor) return true;

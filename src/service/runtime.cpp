@@ -1,11 +1,7 @@
 #include "service/runtime.h"
 
-#include <pthread.h>
-
-#include <algorithm>
-
+#include "runtime/idle_backoff.h"
 #include "runtime/strand_ops.h"
-#include "util/cpu_relax.h"
 #include "service/degrade.h"
 #include "util/assert.h"
 
@@ -16,31 +12,6 @@ namespace {
 bool is_terminal(JobState s) {
   return s == JobState::kRejected || s == JobState::kTimedOut ||
          s == JobState::kDone;
-}
-
-/// Same tiered idle backoff as the one-shot engine (runtime/thread_pool.cpp):
-/// spin hot, then yield, then sleep in 50µs bursts. Service workers are
-/// resident, so the sleep tier is what keeps an idle service near-zero CPU.
-constexpr int kSpinRounds = 8;
-constexpr int kYieldRounds = 16;
-constexpr auto kIdleSleep = std::chrono::microseconds(50);
-
-void idle_backoff(int streak) {
-  if (streak < kSpinRounds) {
-    for (int i = 0; i < (1 << streak); ++i) util::cpu_relax();
-  } else if (streak < kSpinRounds + kYieldRounds) {
-    std::this_thread::yield();  // lint:allow(blocking-call) idle tier only
-  } else {
-    // lint:allow(blocking-call) idle tier only, bounds wakeup at 50µs
-    std::this_thread::sleep_for(kIdleSleep);
-  }
-}
-
-void try_pin(int host_cpu) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(host_cpu), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
 }  // namespace
@@ -394,9 +365,7 @@ void Runtime::finalize_completion(
 }
 
 void Runtime::worker_loop(int tid) {
-  const unsigned host_cpus =
-      std::max(1u, std::thread::hardware_concurrency());
-  try_pin(static_cast<int>(static_cast<unsigned>(tid) % host_cpus));
+  runtime::pin_worker(tid);
   runtime::JobArena::Scope arena_scope(
       arenas_[static_cast<std::size_t>(tid)].get());
   std::vector<runtime::Job*> to_add;
@@ -418,8 +387,8 @@ void Runtime::worker_loop(int tid) {
       }
       // Deep in the idle tiers, double as the timeout heartbeat: parked
       // deadlines must fire even when no completion ever frees budget.
-      if (idle_streak >= kSpinRounds + kYieldRounds) pump_parked();
-      idle_backoff(idle_streak++);
+      if (idle_streak >= runtime::kSleepStreak) pump_parked();
+      runtime::idle_backoff(idle_streak++);
       continue;
     }
     idle_streak = 0;

@@ -20,8 +20,7 @@ std::string Counters::summary() const {
   if (windows_executed != 0 || fiber_switches != 0) {
     out << " engine{windows=" << windows_executed
         << " merges=" << window_merges << " pump_passes=" << pump_passes
-        << " fiber_switches=" << fiber_switches
-        << " inline_strands=" << inline_strands << "}";
+        << " fiber_switches=" << fiber_switches << "}";
   }
   return out.str();
 }

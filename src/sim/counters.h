@@ -20,6 +20,8 @@ struct LevelCounters {
   std::uint64_t evictions = 0;
   std::uint64_t back_invalidations = 0;  ///< inclusion-driven (parent evict)
   std::uint64_t coherence_invalidations = 0;  ///< remote-write-driven
+
+  bool operator==(const LevelCounters&) const = default;
 };
 
 struct Counters {
@@ -44,7 +46,9 @@ struct Counters {
   std::uint64_t windows_executed = 0;  ///< bounded-skew windows run
   std::uint64_t window_merges = 0;     ///< barriers that did a real merge
   std::uint64_t pump_passes = 0;       ///< scheduler-pump iterations
-  std::uint64_t inline_strands = 0;    ///< strands run on the pump, no fiber
+  /// Always 0: every strand runs on its core's fiber. Kept because the
+  /// benchmark's per-layer report still reads it.
+  std::uint64_t inline_strands = 0;
 
   /// Misses at the outermost cache level — the paper's headline metric
   /// ("L3 cache misses" on the Xeon preset).
@@ -56,6 +60,8 @@ struct Counters {
   }
 
   std::string summary() const;
+
+  bool operator==(const Counters&) const = default;
 };
 
 }  // namespace sbs::sim

@@ -100,24 +100,6 @@ struct SimEngine::VCore final : mem::AccessSink {
   std::uint64_t fiber_resumes_base = 0;
 };
 
-namespace {
-/// Installed while an inline_runnable strand executes on the pump: such
-/// strands promised to touch no simulated memory and do no simulated work,
-/// and this sink turns a broken promise into a hard failure instead of a
-/// silent timing divergence.
-struct PoisonSink final : mem::AccessSink {
-  void touch(std::uintptr_t, std::uint64_t, bool) override {
-    SBS_CHECK_MSG(false,
-                  "inline_runnable job touched simulated memory on the pump");
-  }
-  void work(std::uint64_t) override {
-    SBS_CHECK_MSG(false,
-                  "inline_runnable job did simulated work on the pump");
-  }
-  int stream_id() const override { return -1; }
-};
-}  // namespace
-
 SimEngine::SimEngine(const machine::Topology& topo, SimParams params)
     : topo_(topo), params_(params) {
   num_threads_ =
@@ -350,8 +332,7 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     core->batch_pass = 0;
     core->fiber_resumes_base = core->fiber ? core->fiber->resumes() : 0;
   }
-  windows_executed_ = pump_passes_ = window_merges_ = inline_strands_run_ = 0;
-  inline_done_.clear();
+  windows_executed_ = pump_passes_ = window_merges_ = 0;
   runtime::JobArena::Scope arena_scope(&arena_);
 
   sched.start(topo_, num_threads_);
@@ -387,7 +368,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     return a->clock < b->clock || (a->clock == b->clock && a->tid < b->tid);
   };
 
-  PoisonSink poison;
   std::uint64_t completion_clock = 0;
   consecutive_empty_ = 0;
   while (!root_completed_) {
@@ -478,41 +458,11 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
       core.strand_done = false;
       core.busy = true;
       core.strand_start_clock = core.clock;
-      if (params_.inline_strands && core.clock <= horizon_ &&
-          job->inline_runnable()) {
-        // Pure-control strand (e.g. an empty join continuation): execute it
-        // right here on the pump stack — no fiber, no window-phase pass.
-        // Timing is identical to the fiber path: the strand touches nothing,
-        // so its clock is unchanged, and its completion is deferred to the
-        // barrier (where the fiber path would collect it) so this pump pass
-        // cannot pop it early. The horizon guard keeps the equivalence when
-        // the get() charge pushed the clock past the window: the fiber path
-        // would not run such a strand until a later window, so it must not
-        // be inlined now.
-        {
-          mem::SinkScope sink(&poison);
-          job->execute(*core.strand);
-        }
-        core.strand_done = true;
-        ++inline_strands_run_;
-        inline_done_.push_back(&core);
-        busy_min_ = std::min(busy_min_, core.clock);
-        continue;
-      }
       core.ensure_fiber();
       shard_busy_[static_cast<std::size_t>(core.shard)].push_back(&core);
       busy_min_ = std::min(busy_min_, core.clock);
     }
     if (root_completed_) break;
-
-    // Inline-run strands complete at the barrier, exactly like fiber-run
-    // ones. (Queue order is by key, so push order next to the fiber-path
-    // pushes below is immaterial.)
-    for (VCore* core : inline_done_) {
-      core->pending_finish = true;
-      queue_core(*core, /*idle=*/false);
-    }
-    inline_done_.clear();
 
     bool any_busy = false;
     for (auto& list : shard_busy_) {
@@ -549,8 +499,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     if (memory_->merge_window()) ++window_merges_;
   }
 
-  SBS_CHECK_MSG(inline_done_.empty(),
-                "root completed while an inline strand awaited settle");
   for (const auto& list : shard_busy_)
     SBS_CHECK_MSG(list.empty(),
                   "root completed while a strand was still running");
@@ -566,7 +514,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
   result.counters.windows_executed = windows_executed_;
   result.counters.pump_passes = pump_passes_;
   result.counters.window_merges = window_merges_;
-  result.counters.inline_strands = inline_strands_run_;
   for (const auto& core : cores_) {
     if (core->fiber)
       result.counters.fiber_switches +=

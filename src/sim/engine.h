@@ -87,12 +87,6 @@ struct SimParams {
   std::uint64_t skew_quantum = 10000;
   /// Worker count; -1 = all hardware threads of the machine.
   int num_threads = -1;
-  /// Run inline-runnable strands (e.g. empty join continuations, see
-  /// runtime::Job::inline_runnable) directly on the pump with no fiber
-  /// switch. Bit-identical to the fiber path: such strands touch no
-  /// simulated state, and the pump defers their completion to the same
-  /// barrier the fiber path uses.
-  bool inline_strands = true;
 };
 
 struct SimResult {
@@ -100,6 +94,8 @@ struct SimResult {
   Counters counters;
   std::uint64_t makespan_cycles = 0;
   std::string sched_stats;
+
+  bool operator==(const SimResult&) const = default;
 };
 
 class SimEngine {
@@ -167,11 +163,6 @@ class SimEngine {
   std::uint64_t windows_executed_ = 0;
   std::uint64_t pump_passes_ = 0;
   std::uint64_t window_merges_ = 0;
-  std::uint64_t inline_strands_run_ = 0;
-
-  /// Strands the pump ran inline this window; their completions are queued
-  /// at the barrier, exactly when the fiber path would.
-  std::vector<VCore*> inline_done_;
 
   /// Exact (clock, thread id) min-queue over idle and pending-finish cores
   /// (event_queue.h): idle re-queues append to a sorted ring in O(1),
@@ -194,7 +185,6 @@ class SimEngine {
   std::vector<VCore*> busy_batches_;  ///< protected by a busy core
   std::vector<VCore*> peer_batches_;  ///< protected by each other
   std::uint64_t peer_period_ = 0;  ///< shortest live peer period
-
 
   bool root_completed_ = false;
 };

@@ -15,8 +15,8 @@
 //    ring's tail, or one that finds the ring full (possible only while stale
 //    entries are queued), goes to the heap instead, so the ring stays
 //    sorted.
-//  - a small binary heap for every other push: strand completions, inline
-//    completions, the initial fill, and out-of-order idle keys.
+//  - a small binary heap for every other push: strand completions, the
+//    initial fill, and out-of-order idle keys.
 //    Completions never extend the ring: one far-ahead completion key at its
 //    tail would send the following idle re-queues to the heap.
 //

@@ -185,7 +185,6 @@ bool WriteMetricsJsonl(const TraceAnalysis& analysis, const std::string& path,
         .kv("window_merges", engine->window_merges)
         .kv("pump_passes", engine->pump_passes)
         .kv("fiber_switches", engine->fiber_switches)
-        .kv("inline_strands", engine->inline_strands)
         .end_object();
   }
   json.key("per_worker").begin_array();

@@ -73,7 +73,6 @@ struct EngineOverheads {
   std::uint64_t window_merges = 0;
   std::uint64_t pump_passes = 0;
   std::uint64_t fiber_switches = 0;
-  std::uint64_t inline_strands = 0;
 
   bool any() const {
     return windows_executed != 0 || pump_passes != 0 || fiber_switches != 0;

@@ -129,13 +129,10 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-// --- parser (recursive descent; validates, optionally builds a DOM) ---
+// --- parser (recursive descent, builds the DOM) ---
 
 namespace {
 
-/// Every parsing method takes an optional JsonValue sink: null while
-/// validating (JsonValidate), non-null while building (JsonParse). The
-/// grammar walk is shared so the two cannot drift apart.
 struct Parser {
   explicit Parser(const std::string& t) : text(t) {}
 
@@ -166,7 +163,7 @@ struct Parser {
     return true;
   }
 
-  bool string(std::string* out) {
+  bool string(std::string& out) {
     if (!consume('"')) return fail("expected string");
     while (pos < text.size()) {
       const char c = text[pos++];
@@ -186,41 +183,37 @@ struct Parser {
                    static_cast<unsigned>(
                        h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
           }
-          if (out != nullptr) {
-            // UTF-8 encode the BMP code point (surrogate pairs are kept as
-            // their raw halves; trace files never emit them).
-            if (code < 0x80) {
-              *out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              *out += static_cast<char>(0xC0 | (code >> 6));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              *out += static_cast<char>(0xE0 | (code >> 12));
-              *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            }
+          // UTF-8 encode the BMP code point (surrogate pairs are kept as
+          // their raw halves; trace files never emit them).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
           }
         } else if (e == '"' || e == '\\' || e == '/') {
-          if (out != nullptr) *out += e;
+          out += e;
         } else if (e == 'b' || e == 'f' || e == 'n' || e == 'r' || e == 't') {
-          if (out != nullptr) {
-            *out += e == 'b'   ? '\b'
-                    : e == 'f' ? '\f'
-                    : e == 'n' ? '\n'
-                    : e == 'r' ? '\r'
-                               : '\t';
-          }
+          out += e == 'b'   ? '\b'
+                 : e == 'f' ? '\f'
+                 : e == 'n' ? '\n'
+                 : e == 'r' ? '\r'
+                            : '\t';
         } else {
           return fail("bad escape");
         }
-      } else if (out != nullptr) {
-        *out += c;
+      } else {
+        out += c;
       }
     }
     return fail("unterminated string");
   }
 
-  bool number(JsonValue* out) {
+  bool number(JsonValue& out) {
     const std::size_t start = pos;
     consume('-');
     if (!std::isdigit(static_cast<unsigned char>(peek()))) return fail("bad number");
@@ -236,71 +229,69 @@ struct Parser {
       while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos;
     }
     if (pos <= start) return false;
-    if (out != nullptr) {
-      *out = JsonValue::of(std::strtod(text.substr(start, pos - start).c_str(),
-                                       nullptr));
-    }
+    out = JsonValue::of(
+        std::strtod(text.substr(start, pos - start).c_str(), nullptr));
     return true;
   }
 
   char peek() const { return pos < text.size() ? text[pos] : '\0'; }
 
-  bool value(JsonValue* out) {
+  bool value(JsonValue& out) {
     skip_ws();
     switch (peek()) {
       case '{': return object(out);
       case '[': return array(out);
       case '"': {
         std::string s;
-        if (!string(out != nullptr ? &s : nullptr)) return false;
-        if (out != nullptr) *out = JsonValue::of(std::move(s));
+        if (!string(s)) return false;
+        out = JsonValue::of(std::move(s));
         return true;
       }
       case 't':
         if (!literal("true")) return false;
-        if (out != nullptr) *out = JsonValue::of(true);
+        out = JsonValue::of(true);
         return true;
       case 'f':
         if (!literal("false")) return false;
-        if (out != nullptr) *out = JsonValue::of(false);
+        out = JsonValue::of(false);
         return true;
       case 'n':
         if (!literal("null")) return false;
-        if (out != nullptr) *out = JsonValue::null_value();
+        out = JsonValue::null_value();
         return true;
       default: return number(out);
     }
   }
 
-  bool object(JsonValue* out) {
+  bool object(JsonValue& out) {
     consume('{');
-    if (out != nullptr) *out = JsonValue::object();
+    out = JsonValue::object();
     skip_ws();
     if (consume('}')) return true;
     while (true) {
       skip_ws();
       std::string key;
-      if (!string(out != nullptr ? &key : nullptr)) return false;
+      if (!string(key)) return false;
       skip_ws();
       if (!consume(':')) return fail("expected ':'");
       JsonValue member;
-      if (!value(out != nullptr ? &member : nullptr)) return false;
-      if (out != nullptr) out->insert(std::move(key), std::move(member));
+      if (!value(member)) return false;
+      out.insert(std::move(key), std::move(member));
       skip_ws();
       if (consume('}')) return true;
       if (!consume(',')) return fail("expected ',' or '}'");
     }
   }
 
-  bool array(JsonValue* out) {
+  bool array(JsonValue& out) {
     consume('[');
-    if (out != nullptr) *out = JsonValue::array();
+    out = JsonValue::array();
     skip_ws();
     if (consume(']')) return true;
     while (true) {
       JsonValue item;
-      if (!value(out != nullptr ? &item : nullptr)) return false;
-      if (out != nullptr) out->push_back(std::move(item));
+      if (!value(item)) return false;
+      out.push_back(std::move(item));
       skip_ws();
       if (consume(']')) return true;
       if (!consume(',')) return fail("expected ',' or ']'");
@@ -308,28 +299,18 @@ struct Parser {
   }
 };
 
-bool run_parser(const std::string& text, JsonValue* out, std::string* error) {
-  Parser parser(text);
-  bool ok = parser.value(out);
-  if (ok) {
-    parser.skip_ws();
-    if (parser.pos != text.size()) {
-      ok = parser.fail("trailing garbage");
-    }
-  }
-  if (!ok && error != nullptr) *error = parser.error;
-  return ok;
-}
-
 }  // namespace
-
-bool JsonValidate(const std::string& text, std::string* error) {
-  return run_parser(text, nullptr, error);
-}
 
 bool JsonParse(const std::string& text, JsonValue* out, std::string* error) {
   SBS_ASSERT(out != nullptr);
-  if (run_parser(text, out, error)) return true;
+  Parser parser(text);
+  bool ok = parser.value(*out);
+  if (ok) {
+    parser.skip_ws();
+    if (parser.pos != text.size()) ok = parser.fail("trailing garbage");
+  }
+  if (ok) return true;
+  if (error != nullptr) *error = parser.error;
   *out = JsonValue::null_value();
   return false;
 }

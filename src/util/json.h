@@ -1,8 +1,8 @@
 // Minimal JSON support: a streaming writer for the machine-readable outputs
-// (metrics JSONL, BENCH_*.json), a validating parser used by tests to check
-// that exported files are well-formed, and a small read-only DOM
-// (JsonValue/JsonParse) for consumers that must walk parsed documents —
-// the offline trace checker reads JSONL trace lines through it.
+// (metrics JSONL, BENCH_*.json) and a parser into a small read-only DOM
+// (JsonValue/JsonParse) — the offline trace checker reads JSONL trace lines
+// through it, and tests use it to check that exported files are
+// well-formed.
 //
 // Deliberately tiny — no external dependency. The writer tracks nesting and
 // comma placement; values are escaped per RFC 8259. Numbers are emitted
@@ -50,11 +50,6 @@ class JsonWriter {
 
 std::string JsonEscape(const std::string& text);
 
-/// Validate that `text` is one complete JSON value (trailing whitespace ok).
-/// On failure returns false and, if `error` is non-null, a brief message
-/// with the byte offset.
-bool JsonValidate(const std::string& text, std::string* error = nullptr);
-
 /// Parsed JSON value. Accessors are total: a type mismatch or missing key
 /// returns the given default (or a shared null value), never throws — the
 /// trace checker reports malformed input as a verification finding, not a
@@ -66,16 +61,12 @@ class JsonValue {
   JsonValue() = default;
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  bool as_bool(bool fallback = false) const {
-    return is_bool() ? bool_ : fallback;
-  }
   double as_double(double fallback = 0.0) const {
     return is_number() ? number_ : fallback;
   }

@@ -12,8 +12,8 @@ using runtime::Task;
 using runtime::kNoSize;
 
 VerifyingScheduler::VerifyingScheduler(
-    std::unique_ptr<runtime::Scheduler> inner, Options options)
-    : inner_(std::move(inner)), options_(options) {
+    std::unique_ptr<runtime::Scheduler> inner)
+    : inner_(std::move(inner)) {
   SBS_CHECK(inner_ != nullptr);
   sb_ = dynamic_cast<sched::SpaceBounded*>(inner_.get());
   if (sb_ != nullptr) {
@@ -43,7 +43,7 @@ std::string VerifyingScheduler::stats_string() const {
 
 void VerifyingScheduler::violation(const std::string& what) {
   ++total_violations_;
-  if (violations_.size() < options_.max_violations) {
+  if (violations_.size() < kMaxMessages) {
     violations_.push_back(inner_->name() + ": " + what);
   }
 }
@@ -455,11 +455,6 @@ std::string VerifyingScheduler::report() const {
         << " more suppressed";
   }
   return out.str();
-}
-
-std::unique_ptr<VerifyingScheduler> Wrap(
-    std::unique_ptr<runtime::Scheduler> inner, Options options) {
-  return std::make_unique<VerifyingScheduler>(std::move(inner), options);
 }
 
 }  // namespace sbs::verify

@@ -50,15 +50,9 @@ class SpaceBounded;
 
 namespace sbs::verify {
 
-struct Options {
-  /// Keep at most this many violation messages (further ones only count).
-  std::size_t max_violations = 64;
-};
-
 class VerifyingScheduler final : public runtime::Scheduler {
  public:
-  explicit VerifyingScheduler(std::unique_ptr<runtime::Scheduler> inner,
-                              Options options = Options());
+  explicit VerifyingScheduler(std::unique_ptr<runtime::Scheduler> inner);
   ~VerifyingScheduler() override;
 
   // --- runtime::Scheduler (forwards to the wrapped scheduler) ---
@@ -113,8 +107,10 @@ class VerifyingScheduler final : public runtime::Scheduler {
   void check_admission(runtime::Job* job, int thread_id) SBS_REQUIRES(mutex_);
   void check_added_task(runtime::Job* job) SBS_REQUIRES(mutex_);
 
+  /// Keep at most this many violation messages (further ones only count).
+  static constexpr std::size_t kMaxMessages = 64;
+
   std::unique_ptr<runtime::Scheduler> inner_;
-  Options options_;
   /// The wrapped scheduler when it is space-bounded (enables the anchoring
   /// and occupancy checks); nullptr for WS/PWS.
   sched::SpaceBounded* sb_ = nullptr;
@@ -143,9 +139,5 @@ class VerifyingScheduler final : public runtime::Scheduler {
   std::uint64_t total_violations_ = 0;
   std::vector<std::string> violations_;
 };
-
-/// Convenience: wrap `inner` for a --verify run.
-std::unique_ptr<VerifyingScheduler> Wrap(
-    std::unique_ptr<runtime::Scheduler> inner, Options options = Options());
 
 }  // namespace sbs::verify

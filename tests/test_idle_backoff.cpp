@@ -5,11 +5,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "machine/topology.h"
 #include "runtime/jobs.h"
 #include "runtime/mem.h"
+#include "runtime/scheduler.h"
 #include "runtime/thread_pool.h"
 #include "sched/registry.h"
 #include "sim/engine.h"
@@ -20,27 +25,60 @@ namespace {
 using machine::Preset;
 using machine::Topology;
 
-/// A root strand that spins for roughly `ms` milliseconds without forking,
-/// so every other worker sits idle long enough to reach the deepest
-/// (sleeping) backoff tier.
-Job* busy_root(int ms) {
-  return make_job([ms](Strand&) {
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(ms);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-  });
-}
+/// Forwards every callback to `inner` and counts the get() calls that
+/// returned nothing.
+class CountEmptyGets final : public Scheduler {
+ public:
+  explicit CountEmptyGets(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  void start(const machine::Topology& topo, int num_threads) override {
+    inner_->start(topo, num_threads);
+  }
+  void finish() override { inner_->finish(); }
+  void add(Job* job, int thread_id) override { inner_->add(job, thread_id); }
+  Job* get(int thread_id) override {
+    Job* job = inner_->get(thread_id);
+    // Relaxed: a counter; the root strand only waits for it to grow.
+    if (job == nullptr) empty_gets_.fetch_add(1, std::memory_order_relaxed);
+    return job;
+  }
+  void done(Job* job, int thread_id, bool task_completed) override {
+    inner_->done(job, thread_id, task_completed);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  std::uint64_t empty_gets() const {
+    return empty_gets_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  std::atomic<std::uint64_t> empty_gets_{0};
+};
 
 TEST(IdleBackoff, SleepingWorkersObserveFinishPromptly) {
   const Topology topo(Preset("mini"));  // 4 workers
   ThreadPool pool(topo);
-  auto sched = sched::MakeScheduler("WS");
+  CountEmptyGets sched(sched::MakeScheduler("WS"));
 
-  // 10ms of single-threaded work: three workers idle through the spin and
-  // yield tiers into the 50us-sleep tier thousands of times over.
+  // One strand that spins for at least 10ms, and until the scheduler has
+  // answered more than 3 empty polls: on a quiet host the three idle
+  // workers reach the 50us-sleep tier long before that, and on a loaded
+  // one the strand waits for them to be scheduled at all. The wait is
+  // capped at 3s, inside the 5s bound below, so a hang still fails it.
+  Job* root = make_job([&sched](Strand&) {
+    using std::chrono::steady_clock;
+    const auto start = steady_clock::now();
+    while (true) {
+      const auto spun = steady_clock::now() - start;
+      if (spun >= std::chrono::seconds(3)) break;
+      if (spun >= std::chrono::milliseconds(10) && sched.empty_gets() > 3) {
+        break;
+      }
+    }
+  });
   const auto t0 = std::chrono::steady_clock::now();
-  const RunStats stats = pool.run(*sched, busy_root(10));
+  const RunStats stats = pool.run(sched, root);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -50,7 +88,7 @@ TEST(IdleBackoff, SleepingWorkersObserveFinishPromptly) {
   EXPECT_LT(wall_s, 5.0);
   EXPECT_LT(stats.wall_s, 5.0);
   EXPECT_EQ(stats.total_strands(), 1u);
-  // The three idle workers polled an empty scheduler at least once each.
+  // The idle workers polled an empty scheduler more than 3 times in all.
   EXPECT_GT(stats.total_empty_wakeups(), 3u);
 }
 

@@ -112,50 +112,17 @@ SimResult RunOnce(const machine::Topology& topo, const std::string& sched_name,
   return r;
 }
 
-void ExpectIdentical(const SimResult& a_r, const SimResult& b_r,
+/// One result on a line of its own, for failure messages.
+std::string Describe(const SimResult& r) {
+  return "\n  makespan=" + std::to_string(r.makespan_cycles) + " " +
+         r.counters.summary() + " | " + r.stats.summary() + " | " +
+         r.sched_stats;
+}
+
+/// Every field of the two results must match bit for bit.
+void ExpectIdentical(const SimResult& a, const SimResult& b,
                      const std::string& label) {
-  EXPECT_EQ(a_r.makespan_cycles, b_r.makespan_cycles) << label;
-  const Counters& a = a_r.counters;
-  const Counters& b = b_r.counters;
-  EXPECT_EQ(a.dram_reads, b.dram_reads) << label;
-  EXPECT_EQ(a.dram_writebacks, b.dram_writebacks) << label;
-  EXPECT_EQ(a.remote_dram_accesses, b.remote_dram_accesses) << label;
-  EXPECT_EQ(a.queue_wait_cycles, b.queue_wait_cycles) << label;
-  EXPECT_EQ(a.accesses, b.accesses) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.filter_skips, b.filter_skips) << label;
-  EXPECT_EQ(a.fiber_switches, b.fiber_switches) << label;
-  EXPECT_EQ(a.windows_executed, b.windows_executed) << label;
-  EXPECT_EQ(a.window_merges, b.window_merges) << label;
-  EXPECT_EQ(a.pump_passes, b.pump_passes) << label;
-  EXPECT_EQ(a.inline_strands, b.inline_strands) << label;
-  ASSERT_EQ(a.level.size(), b.level.size()) << label;
-  for (std::size_t lvl = 1; lvl < a.level.size(); ++lvl) {
-    const LevelCounters& x = a.level[lvl];
-    const LevelCounters& y = b.level[lvl];
-    EXPECT_EQ(x.hits, y.hits) << label << " L" << lvl;
-    EXPECT_EQ(x.misses, y.misses) << label << " L" << lvl;
-    EXPECT_EQ(x.evictions, y.evictions) << label << " L" << lvl;
-    EXPECT_EQ(x.back_invalidations, y.back_invalidations)
-        << label << " L" << lvl;
-    EXPECT_EQ(x.coherence_invalidations, y.coherence_invalidations)
-        << label << " L" << lvl;
-  }
-  EXPECT_EQ(a_r.stats.wall_s, b_r.stats.wall_s) << label;
-  ASSERT_EQ(a_r.stats.per_thread.size(), b_r.stats.per_thread.size())
-      << label;
-  for (std::size_t t = 0; t < a_r.stats.per_thread.size(); ++t) {
-    const runtime::ThreadBreakdown& x = a_r.stats.per_thread[t];
-    const runtime::ThreadBreakdown& y = b_r.stats.per_thread[t];
-    EXPECT_EQ(x.active_s, y.active_s) << label << " thread " << t;
-    EXPECT_EQ(x.add_s, y.add_s) << label << " thread " << t;
-    EXPECT_EQ(x.done_s, y.done_s) << label << " thread " << t;
-    EXPECT_EQ(x.get_s, y.get_s) << label << " thread " << t;
-    EXPECT_EQ(x.empty_s, y.empty_s) << label << " thread " << t;
-    EXPECT_EQ(x.strands, y.strands) << label << " thread " << t;
-    EXPECT_EQ(x.empty_wakeups, y.empty_wakeups) << label << " thread " << t;
-  }
-  EXPECT_EQ(a_r.sched_stats, b_r.sched_stats) << label;
+  EXPECT_TRUE(a == b) << label << Describe(a) << Describe(b);
 }
 
 using Cell = std::tuple<std::string, std::string, std::string>;

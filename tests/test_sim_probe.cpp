@@ -156,41 +156,19 @@ SimResult run_rep(const machine::Topology& topo, const std::string& sched,
   return r;
 }
 
-/// Everything except filter_skips must match bit for bit; filter_skips is
-/// compared only when `same_filter` (a filterless run trivially has 0).
-void expect_identical(const SimResult& a, const SimResult& b,
-                      bool same_filter, const std::string& label) {
-  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles) << label;
-  const Counters& x = a.counters;
-  const Counters& y = b.counters;
-  EXPECT_EQ(x.accesses, y.accesses) << label;
-  EXPECT_EQ(x.writes, y.writes) << label;
-  EXPECT_EQ(x.dram_reads, y.dram_reads) << label;
-  EXPECT_EQ(x.dram_writebacks, y.dram_writebacks) << label;
-  EXPECT_EQ(x.remote_dram_accesses, y.remote_dram_accesses) << label;
-  EXPECT_EQ(x.queue_wait_cycles, y.queue_wait_cycles) << label;
-  EXPECT_EQ(x.fiber_switches, y.fiber_switches) << label;
-  EXPECT_EQ(x.windows_executed, y.windows_executed) << label;
-  EXPECT_EQ(x.window_merges, y.window_merges) << label;
-  EXPECT_EQ(x.pump_passes, y.pump_passes) << label;
-  EXPECT_EQ(x.inline_strands, y.inline_strands) << label;
-  if (same_filter) {
-    EXPECT_EQ(x.filter_skips, y.filter_skips) << label;
-  }
-  ASSERT_EQ(x.level.size(), y.level.size()) << label;
-  for (std::size_t lvl = 1; lvl < x.level.size(); ++lvl) {
-    EXPECT_EQ(x.level[lvl].hits, y.level[lvl].hits) << label << " L" << lvl;
-    EXPECT_EQ(x.level[lvl].misses, y.level[lvl].misses)
-        << label << " L" << lvl;
-    EXPECT_EQ(x.level[lvl].evictions, y.level[lvl].evictions)
-        << label << " L" << lvl;
-    EXPECT_EQ(x.level[lvl].back_invalidations,
-              y.level[lvl].back_invalidations)
-        << label << " L" << lvl;
-    EXPECT_EQ(x.level[lvl].coherence_invalidations,
-              y.level[lvl].coherence_invalidations)
-        << label << " L" << lvl;
-  }
+/// One result on a line of its own, for failure messages.
+std::string Describe(const SimResult& r) {
+  return "\n  makespan=" + std::to_string(r.makespan_cycles) + " " +
+         r.counters.summary() + " | " + r.stats.summary() + " | " +
+         r.sched_stats;
+}
+
+/// Unfiltered run `a` and filtered run `b` must match bit for bit, except
+/// in filter_skips, which only `b` counts.
+void expect_identical(const SimResult& a, SimResult b,
+                      const std::string& label) {
+  b.counters.filter_skips = a.counters.filter_skips;
+  EXPECT_TRUE(a == b) << label << Describe(a) << Describe(b);
 }
 
 class SimProbeEquivalence
@@ -219,7 +197,7 @@ TEST_P(SimProbeEquivalence, RepresentationsAreBitIdentical) {
       run_rep(topo, sched_name, kernel_name, n, /*filter=*/false);
   const SimResult filt =
       run_rep(topo, sched_name, kernel_name, n, /*filter=*/true);
-  expect_identical(ref, filt, /*same_filter=*/false, tag + " filter");
+  expect_identical(ref, filt, tag + " filter");
   EXPECT_EQ(ref.counters.filter_skips, 0u) << tag;
   EXPECT_GT(filt.counters.filter_skips, 0u) << tag;
 }
@@ -248,7 +226,7 @@ TEST(SimProbeHuge64, PresenceFiltersEngageAndPreserveResults) {
       run_rep(topo, "WS", "samplesort", n, /*filter=*/false, threshold);
   const SimResult on =
       run_rep(topo, "WS", "samplesort", n, /*filter=*/true, threshold);
-  expect_identical(off, on, /*same_filter=*/false, "huge64 filter");
+  expect_identical(off, on, "huge64 filter");
   EXPECT_GT(on.counters.filter_skips, 0u)
       << "presence filters never engaged on huge64";
   EXPECT_EQ(off.counters.filter_skips, 0u);

@@ -67,7 +67,8 @@ std::string run_verified(const std::string& preset, Job* root,
                          sched::SpaceBounded::Options options,
                          bool* ok = nullptr) {
   const Topology topo(Preset(preset));
-  auto checker = Wrap(std::make_unique<sched::SpaceBounded>(options));
+  auto checker = std::make_unique<VerifyingScheduler>(
+      std::make_unique<sched::SpaceBounded>(options));
   sim::SimEngine engine(topo);
   engine.run(*checker, root);
   if (ok != nullptr) *ok = checker->ok();
@@ -140,7 +141,8 @@ TEST(Verify, WrapsWorkStealingLifecycleOnly) {
   const Topology topo(Preset("mini"));
   sched::SchedulerSpec spec;
   spec.name = "WS";
-  auto checker = Wrap(sched::MakeScheduler(spec));
+  auto checker =
+      std::make_unique<VerifyingScheduler>(sched::MakeScheduler(spec));
   sim::SimEngine engine(topo);
   engine.run(*checker, tree(1u << 16, 8));
   EXPECT_TRUE(checker->ok()) << checker->report();
@@ -149,9 +151,8 @@ TEST(Verify, WrapsWorkStealingLifecycleOnly) {
 
 TEST(Verify, ReportCountsChecks) {
   const Topology topo(Preset("mini"));
-  auto checker =
-      Wrap(std::make_unique<sched::SpaceBounded>(
-          sched::SpaceBounded::Options{}));
+  auto checker = std::make_unique<VerifyingScheduler>(
+      std::make_unique<sched::SpaceBounded>(sched::SpaceBounded::Options{}));
   sim::SimEngine engine(topo);
   engine.run(*checker, tree(1u << 16, 4));
   EXPECT_TRUE(checker->ok());
