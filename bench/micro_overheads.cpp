@@ -4,7 +4,7 @@
 // strand of each scheduler's add/get/done path by running a synthetic
 // fork-join tree on the real thread-pool engine. This is the engineering
 // quantity behind the paper's §3.3 overhead breakdown — work stealing's
-// two-lock deque should be several times cheaper per strand than the
+// Chase-Lev deque should be several times cheaper per strand than the
 // space-bounded tree walk.
 //
 // After the google-benchmark suite, a set of JSON cells is written to
@@ -14,8 +14,6 @@
 //   - deque_add_get / deque_steal: the seed's locked std::deque scheduler
 //     queue (kept here as the baseline) vs the Chase-Lev deque that now
 //     backs WS/PWS, same binary so the delta is directly comparable
-//   - fork_alloc: heap operator new vs the per-worker JobArena for
-//     Job-sized allocations
 //   - cache_presence_filter: the guaranteed-miss probe cost of the
 //     simulated cache (sim/cache.h) with and without its per-set presence
 //     filter
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "machine/topology.h"
-#include "runtime/job_arena.h"
 #include "runtime/jobs.h"
 #include "runtime/thread_pool.h"
 #include "sched/chase_lev.h"
@@ -313,32 +310,6 @@ double fiber_switch_ops_per_sec() {
   return static_cast<double>(kFiberSwitches) / best;
 }
 
-constexpr std::size_t kAllocBatch = 64;
-constexpr std::size_t kAllocTotal = std::size_t{1} << 20;
-constexpr int kAllocReps = 5;
-
-/// Fork-allocation throughput (allocate + free of a LambdaJob = one op),
-/// in batches of 64 live jobs — the lifetime shape of a fork's children.
-/// With no arena scope installed, ArenaBacked falls through to the heap;
-/// that fallback is exactly the "heap" cell.
-double job_alloc_ops_per_sec(runtime::JobArena* arena) {
-  runtime::JobArena::Scope scope(arena);
-  Job* live[kAllocBatch];
-  double best = 1e300;
-  for (int rep = 0; rep < kAllocReps; ++rep) {
-    const double t0 = now_s();
-    for (std::size_t i = 0; i < kAllocTotal; i += kAllocBatch) {
-      for (std::size_t k = 0; k < kAllocBatch; ++k) {
-        live[k] = make_job([](Strand&) {}, 64);
-      }
-      benchmark::DoNotOptimize(live[0]);
-      for (std::size_t k = 0; k < kAllocBatch; ++k) delete live[k];
-    }
-    best = std::min(best, now_s() - t0);
-  }
-  return static_cast<double>(kAllocTotal) / best;
-}
-
 // --- simulated-cache probe cell (sim/cache.h) ---
 
 constexpr int kProbeReps = 5;
@@ -377,7 +348,7 @@ double miss_probe_ns(sim::Cache& c) {
 
 /// Writes BENCH_micro_overheads.json: the recorder's traced-vs-untraced
 /// cost (acceptance bar: <1% slowdown with tracing disabled), the locked
-/// vs Chase-Lev queue cells, and the heap vs arena allocation cells.
+/// vs Chase-Lev queue cells, the fiber switch and the presence filter.
 void write_bench_cells() {
   const machine::Topology topo(machine::Preset("mini"));
   runtime::ThreadPool plain(topo, 1);
@@ -397,7 +368,7 @@ void write_bench_cells() {
   const double slowdown_pct = 100.0 * (median(ratio) - 1.0);
   const double events_per_sec = static_cast<double>(events) / traced_s;
 
-  // Queue and allocator hot-path cells (same binary, same flags, so the
+  // Queue hot-path cells (same binary, same flags, so the
   // locked-baseline vs lock-free delta is an apples-to-apples figure).
   const double locked_ag = locked_add_get_ops_per_sec();
   const double cl_ag = chase_lev_add_get_ops_per_sec();
@@ -405,9 +376,6 @@ void write_bench_cells() {
   const double cl_st = chase_lev_steal_ops_per_sec();
   const double locked_cont = locked_contended_steal_items_per_sec();
   const double cl_cont = chase_lev_contended_steal_items_per_sec();
-  const double heap_alloc = job_alloc_ops_per_sec(nullptr);
-  runtime::JobArena arena;
-  const double arena_alloc = job_alloc_ops_per_sec(&arena);
   const double fiber_ops = fiber_switch_ops_per_sec();
 
   // Alternated like the recorder cell, best of each.
@@ -423,7 +391,7 @@ void write_bench_cells() {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "micro_overheads");
-  w.kv("schema_version", 6);
+  w.kv("schema_version", 7);
   w.key("recorder_overhead").begin_object();
   w.kv("machine", "mini");
   char workload[160];
@@ -460,12 +428,6 @@ void write_bench_cells() {
   w.kv("locked_deque_items_per_sec", locked_cont);
   w.kv("chase_lev_items_per_sec", cl_cont);
   w.kv("speedup", cl_cont / locked_cont);
-  w.end_object();
-  w.key("fork_alloc").begin_object();
-  w.kv("workload", "LambdaJob new+delete, 64 live, best of 5");
-  w.kv("heap_ops_per_sec", heap_alloc);
-  w.kv("arena_ops_per_sec", arena_alloc);
-  w.kv("speedup", arena_alloc / heap_alloc);
   w.end_object();
   w.key("fiber_switch").begin_object();
   w.kv("workload", "resume+yield round trip, 4M switches, best of 5");
@@ -505,8 +467,6 @@ void write_bench_cells() {
       "contended steal: locked %.1fM items/s, chase-lev %.1fM items/s "
       "(%.2fx)\n",
       locked_cont / 1e6, cl_cont / 1e6, cl_cont / locked_cont);
-  std::printf("fork alloc:    heap %.1fM ops/s, arena %.1fM ops/s (%.2fx)\n",
-              heap_alloc / 1e6, arena_alloc / 1e6, arena_alloc / heap_alloc);
   std::printf("fiber switch:  %.1fM round trips/s (%.1f ns each, %s)\n",
               fiber_ops / 1e6, 1e9 / fiber_ops,
               SBS_ASM_FIBERS ? "asm" : "ucontext");

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -11,9 +15,14 @@
 namespace sbs::machine {
 
 int MachineConfig::num_threads() const {
-  int p = 1;
-  for (const auto& lvl : levels) p *= static_cast<int>(lvl.fanout);
-  return p;
+  // An int times a 32-bit fan-out stays below 2^63.
+  std::int64_t p = 1;
+  for (const auto& lvl : levels) {
+    p *= lvl.fanout;
+    SBS_CHECK_MSG(p <= std::numeric_limits<int>::max(),
+                  "config: the thread count (product of fan_outs) overflows");
+  }
+  return static_cast<int>(p);
 }
 
 int MachineConfig::num_cache_levels() const {
@@ -231,6 +240,7 @@ namespace {
 struct Lexer {
   const std::string& text;
   std::size_t pos = 0;
+  int depth = 0;  ///< nesting of parentheses and unary minus
 
   void skip_ws() {
     while (pos < text.size()) {
@@ -292,13 +302,11 @@ struct Lexer {
 // Integer/real expression grammar: shift > additive > multiplicative > unary.
 double ParseExpr(Lexer& lx);
 
-double ParsePrimary(Lexer& lx) {
-  if (lx.consume('(')) {
-    double v = ParseExpr(lx);
-    SBS_CHECK_MSG(lx.consume(')'), "config: expected ')'");
-    return v;
-  }
-  if (lx.consume('-')) return -ParsePrimary(lx);
+/// Bounds the parser's recursion, so deep nesting fails instead of
+/// overflowing the stack.
+constexpr int kMaxNesting = 64;
+
+double ParseNumber(Lexer& lx) {
   lx.skip_ws();
   std::size_t start = lx.pos;
   while (lx.pos < lx.text.size() &&
@@ -310,10 +318,34 @@ double ParsePrimary(Lexer& lx) {
   }
   SBS_CHECK_MSG(lx.pos > start, "config: expected a number");
   const std::string tok = lx.text.substr(start, lx.pos - start);
-  return std::stod(tok.find('.') != std::string::npos
-                       ? tok
-                       : std::to_string(static_cast<double>(
-                             std::stoll(tok, nullptr, 0))));
+  // A token the conversion does not consume whole is malformed; errno
+  // reports one out of range.
+  char* end = nullptr;
+  errno = 0;
+  const double v =
+      tok.find('.') != std::string::npos
+          ? std::strtod(tok.c_str(), &end)
+          : static_cast<double>(std::strtoll(tok.c_str(), &end, 0));
+  SBS_CHECK_MSG(errno == 0 && end == tok.c_str() + tok.size(),
+                ("config: malformed or out-of-range number '" + tok + "'")
+                    .c_str());
+  return v;
+}
+
+double ParsePrimary(Lexer& lx) {
+  SBS_CHECK_MSG(++lx.depth <= kMaxNesting,
+                "config: expression nested too deeply");
+  double v;
+  if (lx.consume('(')) {
+    v = ParseExpr(lx);
+    SBS_CHECK_MSG(lx.consume(')'), "config: expected ')'");
+  } else if (lx.consume('-')) {
+    v = -ParsePrimary(lx);
+  } else {
+    v = ParseNumber(lx);
+  }
+  --lx.depth;
+  return v;
 }
 
 double ParseMul(Lexer& lx) {
@@ -350,8 +382,9 @@ double ParseExpr(Lexer& lx) {
   double v = ParseAdd(lx);
   while (lx.consume_str("<<")) {
     const double shift = ParseAdd(lx);
-    v = static_cast<double>(static_cast<long long>(v)
-                            << static_cast<long long>(shift));
+    SBS_CHECK_MSG(shift >= 0 && shift <= 63 && shift == std::trunc(shift),
+                  "config: a shift amount must be an integer in [0, 63]");
+    v = std::ldexp(std::trunc(v), static_cast<int>(shift));
   }
   return v;
 }
@@ -369,6 +402,18 @@ std::vector<double> ParseValueOrList(Lexer& lx) {
     vals.push_back(ParseExpr(lx));
   }
   return vals;
+}
+
+/// `v` as a value of the integral field type T: it must be integral and in
+/// T's range (NaN and infinities fail both tests).
+template <class T>
+T ToField(double v, const std::string& key) {
+  SBS_CHECK_MSG(
+      v == std::trunc(v) &&
+          v >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
+          v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0,
+      ("config: " + key + " needs integers in its field's range").c_str());
+  return static_cast<T>(v);
 }
 
 bool IsTypeWord(const std::string& w) {
@@ -407,9 +452,9 @@ MachineConfig ParseConfig(const std::string& text) {
       return vals[0];
     };
     if (word == "num_procs") {
-      num_procs = static_cast<std::int64_t>(scalar());
+      num_procs = ToField<int>(scalar(), word);
     } else if (word == "num_levels") {
-      num_levels = static_cast<std::int64_t>(scalar());
+      num_levels = ToField<int>(scalar(), word);
     } else if (word == "fan_outs") {
       fan_outs = vals;
     } else if (word == "sizes") {
@@ -425,17 +470,17 @@ MachineConfig ParseConfig(const std::string& text) {
     } else if (word == "ghz") {
       cfg.ghz = scalar();
     } else if (word == "dram_latency") {
-      cfg.dram_latency_cycles = static_cast<std::uint32_t>(scalar());
+      cfg.dram_latency_cycles = ToField<std::uint32_t>(scalar(), word);
     } else if (word == "socket_bytes_per_cycle") {
       cfg.socket_bytes_per_cycle = scalar();
     } else if (word == "page_bytes") {
-      cfg.page_bytes = static_cast<std::uint64_t>(scalar());
+      cfg.page_bytes = ToField<std::uint64_t>(scalar(), word);
     } else if (word == "sched_op_cycles") {
-      cfg.sched_op_cycles = static_cast<std::uint32_t>(scalar());
+      cfg.sched_op_cycles = ToField<std::uint32_t>(scalar(), word);
     } else if (word == "fork_join_cycles") {
-      cfg.fork_join_cycles = static_cast<std::uint32_t>(scalar());
+      cfg.fork_join_cycles = ToField<std::uint32_t>(scalar(), word);
     } else if (word == "idle_poll_cycles") {
-      cfg.idle_poll_cycles = static_cast<std::uint32_t>(scalar());
+      cfg.idle_poll_cycles = ToField<std::uint32_t>(scalar(), word);
     } else {
       SBS_CHECK_MSG(false, ("config: unknown key '" + word + "'").c_str());
     }
@@ -452,19 +497,21 @@ MachineConfig ParseConfig(const std::string& text) {
   cfg.levels.resize(static_cast<std::size_t>(num_levels));
   for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
     LevelSpec& lvl = cfg.levels[i];
-    lvl.size = static_cast<std::uint64_t>(sizes[i]);
-    lvl.line = static_cast<std::uint32_t>(block_sizes[i]);
-    lvl.fanout = static_cast<std::uint32_t>(fan_outs[i]);
-    lvl.assoc = i < assoc.size() ? static_cast<std::uint32_t>(assoc[i]) : 8;
-    lvl.hit_cycles =
-        i < hit_cycles.size() ? static_cast<std::uint32_t>(hit_cycles[i]) : 0;
+    lvl.size = ToField<std::uint64_t>(sizes[i], "sizes");
+    lvl.line = ToField<std::uint32_t>(block_sizes[i], "block_sizes");
+    lvl.fanout = ToField<std::uint32_t>(fan_outs[i], "fan_outs");
+    lvl.assoc =
+        i < assoc.size() ? ToField<std::uint32_t>(assoc[i], "assoc") : 8;
+    lvl.hit_cycles = i < hit_cycles.size()
+                         ? ToField<std::uint32_t>(hit_cycles[i], "hit_cycles")
+                         : 0;
   }
   cfg.levels[0].assoc = 0;
   cfg.levels[0].hit_cycles = 0;
   NameLevels(cfg);
   DefaultHitCycles(cfg);
 
-  for (double m : map) cfg.core_map.push_back(static_cast<int>(m));
+  for (double m : map) cfg.core_map.push_back(ToField<int>(m, "map"));
   if (num_procs >= 0) {
     SBS_CHECK_MSG(num_procs == cfg.num_threads(),
                   "config: num_procs does not match product of fan_outs");

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/job_arena.h"
 #include "util/assert.h"
 
 namespace sbs::runtime {
@@ -29,20 +28,9 @@ class Strand;
 
 inline constexpr std::uint64_t kNoSize = ~std::uint64_t{0};
 
-/// Mixin routing a type's new/delete through the calling worker's JobArena
-/// (heap fallback outside an engine). Jobs, Tasks and JoinCounters are
-/// allocated at every fork and freed at every join — the arena keeps that
-/// churn off the global heap and off the measured scheduler overheads.
-struct ArenaBacked {
-  static void* operator new(std::size_t bytes) {
-    return JobArena::allocate(bytes);
-  }
-  static void operator delete(void* p) noexcept { JobArena::deallocate(p); }
-};
-
 /// Join bookkeeping for one parallel block: when `remaining` task
 /// completions have been observed, the continuation strand is released.
-struct JoinCounter : ArenaBacked {
+struct JoinCounter {
   explicit JoinCounter(int count, Job* cont)
       : remaining(count), continuation(cont) {}
   std::atomic<int> remaining;
@@ -53,7 +41,7 @@ struct JoinCounter : ArenaBacked {
 /// state (e.g. the cache a space-bounded scheduler anchored the task to)
 /// lives in the `anchor`/`attr` slots so the same struct serves every
 /// scheduler without casts.
-struct Task : ArenaBacked {
+struct Task {
   explicit Task(Task* parent_task) : parent(parent_task) {}
   Task* parent;  ///< enclosing task; nullptr for the root task.
 
@@ -65,10 +53,8 @@ struct Task : ArenaBacked {
 };
 
 /// One strand of a task. Derive and implement execute(); the body may call
-/// Strand::fork() at most once, as its final action. Concrete jobs are
-/// arena-allocated (see ArenaBacked); subclasses must not require alignment
-/// beyond alignof(std::max_align_t).
-class Job : public ArenaBacked {
+/// Strand::fork() at most once, as its final action.
+class Job {
  public:
   virtual ~Job() = default;
 

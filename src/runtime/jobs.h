@@ -2,8 +2,8 @@
 // continuations. Kernels build their task trees out of these.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "runtime/job.h"
@@ -38,15 +38,12 @@ class LambdaJob final : public Job {
 
 /// Allocate a job from a callable. `task_bytes` annotates the footprint of
 /// the task the job begins (kNoSize = unannotated; space-bounded schedulers
-/// refuse such jobs); `strand_bytes` annotates this strand alone. The job
-/// comes from the calling worker's JobArena when one is in scope.
+/// refuse such jobs); `strand_bytes` annotates this strand alone.
 template <class F>
 Job* make_job(F&& fn, std::uint64_t task_bytes = kNoSize,
               std::uint64_t strand_bytes = kNoSize) {
-  using JobType = LambdaJob<std::decay_t<F>>;
-  static_assert(alignof(JobType) <= alignof(std::max_align_t),
-                "over-aligned captures are not supported by the job arena");
-  return new JobType(std::forward<F>(fn), task_bytes, strand_bytes);
+  return new LambdaJob<std::decay_t<F>>(std::forward<F>(fn), task_bytes,
+                                       strand_bytes);
 }
 
 /// An empty continuation strand (used when a fork has nothing to do after

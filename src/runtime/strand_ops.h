@@ -16,11 +16,8 @@
 // and of one fresh Task per child; on a strand end, join-counter notification
 // releasing the continuation strand of the enclosing task.
 //
-// Every new/delete below goes through the calling worker's JobArena (the
-// types are ArenaBacked — see job_arena.h), so fork/join bookkeeping does
-// not touch the global heap on the hot path. A job may be freed by a
-// different worker than the one that allocated it (stolen continuations);
-// the arena's remote free list handles that.
+// A job may be freed by a different worker than the one that allocated it
+// (a stolen continuation settles on the thief).
 #pragma once
 
 #include <vector>

@@ -33,9 +33,6 @@ ThreadPool::ThreadPool(const machine::Topology& topo, int num_threads)
     : topo_(topo),
       num_threads_(num_threads < 0 ? topo.num_threads() : num_threads) {
   SBS_CHECK(num_threads_ >= 1 && num_threads_ <= topo.num_threads());
-  arenas_.reserve(static_cast<std::size_t>(num_threads_));
-  for (int t = 0; t < num_threads_; ++t)
-    arenas_.push_back(std::make_unique<JobArena>());
 }
 
 void ThreadPool::enable_tracing(std::size_t events_per_worker) {
@@ -59,7 +56,6 @@ RunStats ThreadPool::run(Scheduler& sched, Job* root_job) {
 
   auto worker = [&](int tid) {
     pin_worker(tid);
-    JobArena::Scope arena_scope(arenas_[static_cast<std::size_t>(tid)].get());
     ThreadBreakdown& bd = slots[static_cast<std::size_t>(tid)].times;
     std::vector<Job*> to_add;
     int idle_streak = 0;

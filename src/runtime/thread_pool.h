@@ -8,11 +8,9 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "machine/topology.h"
 #include "runtime/job.h"
-#include "runtime/job_arena.h"
 #include "runtime/run_stats.h"
 #include "runtime/scheduler.h"
 #include "trace/recorder.h"
@@ -42,9 +40,6 @@ class ThreadPool {
   const machine::Topology& topo_;
   int num_threads_;
   std::unique_ptr<trace::Recorder> recorder_;
-  /// One JobArena per worker, reused across run()s: fork/join allocations
-  /// recycle through per-worker free lists instead of the global heap.
-  std::vector<std::unique_ptr<JobArena>> arenas_;
 };
 
 }  // namespace sbs::runtime

@@ -137,9 +137,6 @@ Runtime::Runtime(const machine::Topology& topo, const RuntimeOptions& options)
   }
 
   completion_slots_.resize(static_cast<std::size_t>(num_threads_));
-  arenas_.reserve(static_cast<std::size_t>(num_threads_));
-  for (int t = 0; t < num_threads_; ++t)
-    arenas_.push_back(std::make_unique<runtime::JobArena>());
 
   sched_->start(topo_, num_threads_);
   workers_.reserve(static_cast<std::size_t>(num_threads_));
@@ -246,11 +243,10 @@ void Runtime::enqueue_injection(
 
 void Runtime::dispatch(int tid,
                        const std::shared_ptr<JobHandle::Ticket>& ticket) {
-  // Wiring happens here — on a worker, inside an arena scope — not at
-  // submit time, so a rejected or timed-out ticket never owns engine
-  // bookkeeping that would need unwinding: pre-dispatch failure is a plain
-  // `delete root`.
-  auto* completion = new CompletionJob(this, ticket);  // lint:allow(raw-new)
+  // Wiring happens here, on a worker, not at submit time, so a rejected or
+  // timed-out ticket never owns engine bookkeeping that would need
+  // unwinding: pre-dispatch failure is a plain `delete root`.
+  auto* completion = new CompletionJob(this, ticket);
   ticket->sentinel =
       runtime::StrandOps::make_submission(ticket->root, completion);
   if (ticket->degraded && has_degrade_mux_) {
@@ -366,8 +362,6 @@ void Runtime::finalize_completion(
 
 void Runtime::worker_loop(int tid) {
   runtime::pin_worker(tid);
-  runtime::JobArena::Scope arena_scope(
-      arenas_[static_cast<std::size_t>(tid)].get());
   std::vector<runtime::Job*> to_add;
   int idle_streak = 0;
   for (;;) {

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "machine/topology.h"
-#include "runtime/job_arena.h"
 #include "runtime/scheduler.h"
 #include "sched/registry.h"
 #include "service/admission.h"
@@ -172,8 +171,6 @@ class Runtime {
   int num_threads_ SBS_INIT_ONLY = 0;
   Clock::time_point epoch_ SBS_INIT_ONLY;
 
-  /// Vector shaped in the constructor; arena i is used only from worker i.
-  std::vector<std::unique_ptr<runtime::JobArena>> arenas_ SBS_INIT_ONLY;
   std::vector<std::thread> workers_ SBS_CONFINED(control thread);
   bool shut_down_ SBS_CONFINED(control thread) =
       false;  ///< shutdown() is sequential, not thread-safe

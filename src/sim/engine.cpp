@@ -333,7 +333,6 @@ SimResult SimEngine::run(runtime::Scheduler& sched, Job* root_job) {
     core->fiber_resumes_base = core->fiber ? core->fiber->resumes() : 0;
   }
   windows_executed_ = pump_passes_ = window_merges_ = 0;
-  runtime::JobArena::Scope arena_scope(&arena_);
 
   sched.start(topo_, num_threads_);
   StrandOps::Root root = StrandOps::make_root(root_job);

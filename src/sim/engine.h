@@ -70,7 +70,6 @@
 
 #include "machine/topology.h"
 #include "runtime/job.h"
-#include "runtime/job_arena.h"
 #include "runtime/run_stats.h"
 #include "runtime/scheduler.h"
 #include "sim/counters.h"
@@ -154,8 +153,6 @@ class SimEngine {
   std::vector<std::unique_ptr<VCore>> cores_;
   std::unique_ptr<trace::Recorder> recorder_;
   runtime::Scheduler* sched_ = nullptr;
-  /// The fork/join allocation arena of every strand body and settle().
-  runtime::JobArena arena_;
   std::uint64_t horizon_ = 0;  ///< yield threshold for running fibers
 
   // Engine-overhead counters for the current run (folded into

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "machine/config.h"
 #include "machine/topology.h"
@@ -106,6 +107,62 @@ TEST(ConfigDeath, RejectsMismatchedNumProcs) {
     int block_sizes[2] = {64, 64};
   )";
   EXPECT_DEATH({ ParseConfig(bad); }, "num_procs");
+}
+
+// Hostile numbers: each input below fails with a `config:` message, not
+// with undefined behaviour, an uncaught exception or a stack overflow.
+std::string ThreeLevels(const std::string& fan_outs, const std::string& sizes) {
+  return "int num_levels = 3;\n"
+         "int fan_outs[3] = " + fan_outs + ";\n"
+         "long long int sizes[3] = " + sizes + ";\n"
+         "int block_sizes[3] = {64, 64, 64};\n";
+}
+
+TEST(ConfigDeath, RejectsShiftPastWordWidth) {
+  EXPECT_DEATH({ ParseConfig(ThreeLevels("{2,2,1}", "{0, 1<<64, 1<<12}")); },
+               "config: a shift amount");
+}
+
+TEST(ConfigDeath, RejectsNegativeShift) {
+  EXPECT_DEATH({ ParseConfig(ThreeLevels("{2,2,1}", "{0, 1<<16, 1<<-1}")); },
+               "config: a shift amount");
+}
+
+TEST(ConfigDeath, RejectsNegativeFanOut) {
+  EXPECT_DEATH(
+      { ParseConfig(ThreeLevels("{-2,2,1}", "{0, 1<<16, 1<<12}")); },
+      "config: fan_outs needs integers");
+}
+
+TEST(ConfigDeath, RejectsThreadCountOverflow) {
+  const char* bad = R"(
+    int num_levels = 4;
+    int fan_outs[4] = {65536, 65536, 2, 1};
+    long long int sizes[4] = {0, 1<<20, 1<<16, 1<<12};
+    int block_sizes[4] = {64, 64, 64, 64};
+  )";
+  EXPECT_DEATH({ ParseConfig(bad); }, "config: the thread count");
+}
+
+TEST(ConfigDeath, RejectsOutOfRangeLiteral) {
+  const std::string bad = ThreeLevels("{2,2,1}", "{0, 1<<16, 1<<12}") +
+                          "int dram_latency = 99999999999999999999;\n";
+  EXPECT_DEATH({ ParseConfig(bad); },
+               "config: malformed or out-of-range number '99999999999999999999'");
+}
+
+TEST(ConfigDeath, RejectsMalformedLiteral) {
+  const std::string bad =
+      ThreeLevels("{2,2,1}", "{0, 1<<16, 1<<12}") + "int dram_latency = x;\n";
+  EXPECT_DEATH({ ParseConfig(bad); },
+               "config: malformed or out-of-range number 'x'");
+}
+
+TEST(ConfigDeath, RejectsDeepNesting) {
+  const std::string bad = ThreeLevels("{2,2,1}", "{0, 1<<16, 1<<12}") +
+                          "int dram_latency = " + std::string(200000, '(') +
+                          "1" + std::string(200000, ')') + ";\n";
+  EXPECT_DEATH({ ParseConfig(bad); }, "config: expression nested too deeply");
 }
 
 TEST(ConfigDeath, RejectsGrowingCaches) {

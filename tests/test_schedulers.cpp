@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,11 +26,13 @@ using runtime::Job;
 using runtime::StrandOps;
 using runtime::make_job;
 
-/// A trivial annotated job whose task plumbing is initialized (schedulers
-/// may dereference job->task()).
+/// Trivial annotated jobs whose task plumbing is initialized (schedulers
+/// may dereference job->task()). The fixture owns the jobs: no engine runs
+/// them, so nothing else frees them.
 struct JobFixture {
   Job* make(std::uint64_t bytes = 64) {
     Job* job = make_job([](runtime::Strand&) {}, bytes);
+    jobs.emplace_back(job);
     roots.push_back(StrandOps::make_root(job));
     return job;
   }
@@ -39,6 +42,7 @@ struct JobFixture {
       delete r.sentinel;
     }
   }
+  std::vector<std::unique_ptr<Job>> jobs;
   std::vector<StrandOps::Root> roots;
 };
 

@@ -233,10 +233,8 @@ TEST(ServiceRuntime, QueuedJobTimesOutWhileBudgetHeld) {
 
   std::atomic<bool> open{false};
   // Two gates pin the full 32KB budget of each L2 node.
-  auto g1 = runtime.submit(new GateJob(32 << 10, &open),  // lint:allow(raw-new)
-                           32 << 10, 0);
-  auto g2 = runtime.submit(new GateJob(32 << 10, &open),  // lint:allow(raw-new)
-                           32 << 10, 0);
+  auto g1 = runtime.submit(new GateJob(32 << 10, &open), 32 << 10, 0);
+  auto g2 = runtime.submit(new GateJob(32 << 10, &open), 32 << 10, 0);
 
   kernels::KernelParams params;
   params.n = 512;
@@ -260,10 +258,8 @@ TEST(ServiceRuntime, QueuedJobAdmittedWhenBudgetFrees) {
   service::Runtime runtime(topo, options);
 
   std::atomic<bool> open{false};
-  auto g1 = runtime.submit(new GateJob(32 << 10, &open),  // lint:allow(raw-new)
-                           32 << 10, 0);
-  auto g2 = runtime.submit(new GateJob(32 << 10, &open),  // lint:allow(raw-new)
-                           32 << 10, 0);
+  auto g1 = runtime.submit(new GateJob(32 << 10, &open), 32 << 10, 0);
+  auto g2 = runtime.submit(new GateJob(32 << 10, &open), 32 << 10, 0);
 
   kernels::KernelParams params;
   params.n = 512;
@@ -353,6 +349,9 @@ TEST(ServiceWorkload, DeterministicInSeed) {
     EXPECT_EQ(ra.n, rb.n);
     EXPECT_EQ(ra.declared_bytes, rb.declared_bytes);
     any_diff |= ra.tenant != rc.tenant || ra.n != rc.n;
+    for (service::Request* r : {&ra, &rb, &rc}) {
+      delete r->root;  // never submitted, so the test owns it
+    }
     a.release(ra.instance);
     b.release(rb.instance);
     c.release(rc.instance);

@@ -2,12 +2,6 @@
 """Repo-specific lint pass (runs in CI next to format/tidy).
 
 Rules:
-  raw-new     Job/Task/JoinCounter objects must come from the arena-backed
-              allocation path in src/runtime/ (the ArenaBacked mixin and the
-              fork bookkeeping in strand_ops.h). A raw `new Task(...)`,
-              `new JoinCounter(...)` or `new SomethingJob(...)` anywhere
-              else bypasses the per-worker JobArena and puts fork/join
-              churn back on the global heap.
   std-mutex   Scheduler hot paths (src/sched/) must not take a std::mutex:
               add/get/done are called on every fork/steal and a futex-backed
               mutex there serializes workers. Use sched::Spinlock, or
@@ -68,12 +62,6 @@ import sys
 CXX_EXTENSIONS = (".h", ".cpp", ".cc", ".hpp")
 SCAN_DIRS = ("src", "tests", "bench", "examples", "tools")
 
-# src/runtime owns the arena allocation path; `new` of runtime objects is
-# legitimate there (ArenaBacked routes it through the JobArena).
-RAW_NEW_EXEMPT = ("src/runtime/",)
-
-RAW_NEW_RE = re.compile(r"\bnew\s+(?:[A-Za-z_][\w:]*::)?"
-                        r"(Task|JoinCounter|[A-Za-z_]\w*Job)\s*[({]")
 STD_MUTEX_RE = re.compile(r"\bstd::(mutex|recursive_mutex|shared_mutex|"
                           r"timed_mutex|condition_variable)\b")
 STD_DEQUE_RE = re.compile(r"\bstd::deque\b")
@@ -96,7 +84,7 @@ WAIVER_RE = re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 # naming one of these that suppressed nothing is flagged here, while
 # waivers for tools/analyze's semantic rules are that tool's business.
 LINT_RULES = frozenset({
-    "raw-new", "std-mutex", "std-deque", "assert-se", "blocking-call",
+    "std-mutex", "std-deque", "assert-se", "blocking-call",
     "wallclock-seed", "sim-unordered-map", "raw-simd",
 })
 
@@ -190,18 +178,9 @@ def lint_file(path, rel, findings):
     in_sched = rel.startswith("src/sched/")
     in_service = rel.startswith("src/service/")
     in_sim = rel.startswith("src/sim/")
-    new_exempt = any(rel.startswith(p) for p in RAW_NEW_EXEMPT)
 
     for idx, code in enumerate(code_lines):
         lineno = idx + 1
-
-        if not new_exempt:
-            m = RAW_NEW_RE.search(code)
-            if m and not waived(raw_lines, idx, "raw-new", consumed):
-                findings.append(
-                    (rel, lineno, "raw-new",
-                     f"raw `new {m.group(1)}` outside src/runtime/ bypasses "
-                     "the JobArena"))
 
         if in_sched:
             if STD_MUTEX_RE.search(code) and not waived(raw_lines, idx,
