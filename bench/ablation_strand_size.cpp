@@ -9,55 +9,26 @@
 //
 // Expected: with strand sizes off, SB shows more admission failures / idle
 // time and a slower run on fork-heavy kernels.
-#include <cstdio>
-
-#include "harness/bench_cli.h"
-#include "harness/bench_json.h"
-#include "harness/experiment.h"
+#include "harness/figure.h"
 
 int main(int argc, char** argv) {
   using namespace sbs;
-  harness::BenchOptions opts;
-  Cli cli("ablation_strand_size",
-          "Ablation: SB with and without per-strand size annotations");
-  if (!harness::ParseBenchOptions(argc, argv, cli, &opts)) return 0;
+  harness::Figure fig(
+      "ablation_strand_size",
+      "Ablation: SB with and without per-strand size annotations");
+  if (!fig.parse(argc, argv)) return 0;
 
-  const std::string machine = opts.machine_for();
-  const int scale = harness::BenchOptions::ScaleOfPreset(machine);
-  Table table("Ablation — per-strand sizes (SB, " + machine + ")");
+  Table table("Ablation — per-strand sizes (SB, " +
+              fig.options().machine_for() + ")");
   table.set_header({"kernel", "strand sizes", "active(s)", "empty(ms)",
                     "total(s)", "L3 misses"});
-
-  harness::BenchReport report("ablation_strand_size");
-  bool first_cell = true;
   for (const char* kernel : {"quicksort", "rrm"}) {
     for (bool use : {true, false}) {
-      harness::ExperimentSpec spec;
-      spec.kernel = kernel;
-      spec.machine = machine;
-      spec.params.machine_scale = scale;
-      spec.params.n = opts.problem_n(1'000'000, 10'000'000);
-      spec.params.base = 2048 / static_cast<std::size_t>(scale);
+      harness::ExperimentSpec spec = fig.spec(kernel, 1'000'000, 10'000'000);
       spec.schedulers = {"SB"};
-      spec.repetitions = opts.repetitions();
-      spec.seed = static_cast<std::uint64_t>(opts.seed);
-      spec.sb.sigma = opts.sigma;
-      spec.sb.mu = opts.mu;
       spec.sb.use_strand_sizes = use;
-      spec.num_threads = static_cast<int>(opts.threads);
-      spec.verify = !opts.no_verify;
-      spec.verify_invariants = opts.verify;
-      const std::string group =
-          std::string(kernel) + (use ? "_ssz" : "_tsz");
-      if (!opts.trace.empty())
-        spec.trace_path = harness::WithPathSuffix(opts.trace, group);
-      spec.metrics_path = opts.metrics_json;
-      spec.metrics_truncate = first_cell;
-      spec.label_prefix = group;
-      first_cell = false;
-      const auto results = harness::RunExperiment(spec);
-      report.add(spec, results, group);
-      const auto& c = results[0];
+      const harness::CellResult c =
+          fig.run(std::string(kernel) + (use ? "_ssz" : "_tsz"), spec)[0];
       table.add_row({kernel, use ? "per-strand (paper)" : "task size",
                      fmt_double(c.active_s, 4),
                      fmt_double(c.empty_s * 1e3, 2),
@@ -65,8 +36,6 @@ int main(int argc, char** argv) {
                      fmt_millions(c.llc_misses, 2)});
     }
   }
-  table.print(opts.csv);
-  if (!report.write()) std::fprintf(stderr, "failed to write %s\n",
-                                    report.default_path().c_str());
-  return 0;
+  table.print();
+  return fig.write() ? 0 : 1;
 }

@@ -8,49 +8,25 @@
 // load-balances well.
 #include <cstdio>
 
-#include "harness/bench_cli.h"
-#include "harness/bench_json.h"
-#include "harness/experiment.h"
+#include "harness/figure.h"
 
 int main(int argc, char** argv) {
   using namespace sbs;
-  harness::BenchOptions opts;
-  Cli cli("fig10_sigma",
-          "Reproduce paper Fig. 10: quad-tree empty-queue time vs sigma");
-  if (!harness::ParseBenchOptions(argc, argv, cli, &opts)) return 0;
+  harness::Figure fig(
+      "fig10_sigma",
+      "Reproduce paper Fig. 10: quad-tree empty-queue time vs sigma");
+  if (!fig.parse(argc, argv)) return 0;
 
-  const double sigmas[] = {0.5, 0.7, 0.9, 1.0};
-  const std::string machine = opts.machine_for();
   Table table("Fig. 10 — Quad-tree empty-queue time vs dilation σ (" +
-              machine + ")");
+              fig.options().machine_for() + ")");
   table.set_header({"sigma", "scheduler", "empty(ms)", "overhead(ms)",
                     "total(s)", "L3 misses"});
-  harness::BenchReport report("fig10_sigma");
-
-  for (double sigma : sigmas) {
-    harness::ExperimentSpec spec;
-    spec.kernel = "quadtree";
-    spec.machine = machine;
-    spec.params.machine_scale =
-        harness::BenchOptions::ScaleOfPreset(machine);
-    spec.params.n = opts.problem_n(1'000'000, 100'000'000);
+  for (double sigma : {0.5, 0.7, 0.9, 1.0}) {
+    harness::ExperimentSpec spec =
+        fig.spec("quadtree", 1'000'000, 100'000'000);
     spec.schedulers = {"SB", "SB-D"};
-    spec.repetitions = opts.repetitions();
-    spec.seed = static_cast<std::uint64_t>(opts.seed);
     spec.sb.sigma = sigma;
-    spec.sb.mu = opts.mu;
-    spec.num_threads = static_cast<int>(opts.threads);
-    spec.verify = !opts.no_verify;
-    spec.verify_invariants = opts.verify;
-    const std::string group = "sigma" + fmt_double(sigma, 1);
-    if (!opts.trace.empty())
-      spec.trace_path = harness::WithPathSuffix(opts.trace, group);
-    spec.metrics_path = opts.metrics_json;
-    spec.metrics_truncate = sigma == sigmas[0];
-    spec.label_prefix = group;
-
-    const auto results = harness::RunExperiment(spec);
-    report.add(spec, results, group);
+    const auto results = fig.run("sigma" + fmt_double(sigma, 1), spec);
     for (const auto& c : results) {
       table.add_row({"σ=" + fmt_double(sigma, 1), c.scheduler,
                      fmt_double(c.empty_s * 1e3, 2),
@@ -59,10 +35,8 @@ int main(int argc, char** argv) {
                      fmt_millions(c.llc_misses, 2)});
     }
   }
-  table.print(opts.csv);
-  if (!report.write()) std::fprintf(stderr, "failed to write %s\n",
-                                    report.default_path().c_str());
+  table.print();
   std::printf(
       "Expected shape (paper): empty-queue time rises steeply as σ→1.\n");
-  return 0;
+  return fig.write() ? 0 : 1;
 }

@@ -9,48 +9,27 @@
 // that WS is representative of a production work stealer.
 #include <cstdio>
 
-#include "harness/bench_cli.h"
-#include "harness/bench_json.h"
-#include "harness/experiment.h"
+#include "harness/figure.h"
+#include "machine/config.h"
 
 int main(int argc, char** argv) {
   using namespace sbs;
-  harness::BenchOptions opts;
-  Cli cli("fig5_rrm", "Reproduce paper Fig. 5: RRM vs schedulers vs bandwidth");
-  if (!harness::ParseBenchOptions(argc, argv, cli, &opts)) return 0;
+  harness::Figure fig("fig5_rrm",
+                      "Reproduce paper Fig. 5: RRM vs schedulers vs bandwidth");
+  if (!fig.parse(argc, argv)) return 0;
 
-  harness::ExperimentSpec spec;
-  spec.kernel = "rrm";
-  spec.machine = opts.machine_for();
-  spec.params.machine_scale = harness::BenchOptions::ScaleOfPreset(spec.machine);
-  spec.params.n = opts.problem_n(10'000'000 /
-                                     static_cast<std::size_t>(
-                                         spec.params.machine_scale),
-                                 10'000'000);
-  spec.params.repeats = 3;
-  spec.params.base = 2048 / static_cast<std::size_t>(spec.params.machine_scale);
+  // The paper's 10M doubles, divided by the machine's cache scale.
+  const int scale = machine::PresetScale(fig.options().machine_for());
+  harness::ExperimentSpec spec = fig.spec(
+      "rrm", 10'000'000 / static_cast<std::size_t>(scale), 10'000'000);
   spec.schedulers = {"CilkWS", "WS", "PWS", "SB", "SB-D"};
   spec.bandwidth_sockets = {4, 3, 2, 1};
-  spec.repetitions = opts.repetitions();
-  spec.seed = static_cast<std::uint64_t>(opts.seed);
-  spec.sb.sigma = opts.sigma;
-  spec.sb.mu = opts.mu;
-  spec.num_threads = static_cast<int>(opts.threads);
-  spec.verify = !opts.no_verify;
-  spec.verify_invariants = opts.verify;
-  spec.trace_path = opts.trace;
-  spec.metrics_path = opts.metrics_json;
-
-  const auto results = harness::RunExperiment(spec);
-  harness::BenchReport report("fig5_rrm");
-  report.add(spec, results);
-  if (!report.write()) std::fprintf(stderr, "failed to write %s\n",
-                                    report.default_path().c_str());
+  const auto results = fig.run("", spec);
   Table table = harness::MakeFigureTable(
       "Fig. 5 — RRM (" + std::to_string(spec.params.n) +
           " doubles), schedulers x bandwidth",
       results);
-  table.print(opts.csv);
+  table.print();
 
   // Headline ratio, as the paper reports it: SB misses vs WS misses.
   double ws = 0, sb = 0;
@@ -63,5 +42,5 @@ int main(int argc, char** argv) {
                 "(paper: ~42-44%%)\n",
                 100.0 * (1.0 - sb / ws));
   }
-  return 0;
+  return fig.write() ? 0 : 1;
 }

@@ -6,47 +6,25 @@
 // shrinks; SB/SB-D cut L3 misses by ~42-44% at all bandwidths.
 #include <cstdio>
 
-#include "harness/bench_cli.h"
-#include "harness/bench_json.h"
-#include "harness/experiment.h"
+#include "harness/figure.h"
 
 int main(int argc, char** argv) {
   using namespace sbs;
-  harness::BenchOptions opts;
-  Cli cli("fig6_rrg", "Reproduce paper Fig. 6: RRG vs schedulers vs bandwidth");
-  if (!harness::ParseBenchOptions(argc, argv, cli, &opts)) return 0;
+  harness::Figure fig("fig6_rrg",
+                      "Reproduce paper Fig. 6: RRG vs schedulers vs bandwidth");
+  if (!fig.parse(argc, argv)) return 0;
 
-  harness::ExperimentSpec spec;
-  spec.kernel = "rrg";
-  spec.machine = opts.machine_for();
-  spec.params.machine_scale = harness::BenchOptions::ScaleOfPreset(spec.machine);
   // Per-element instrumented gathers make RRG the slowest benchmark to
   // simulate; the quick default is 600K elements (still ~4x the scaled L3).
-  spec.params.n = opts.problem_n(600'000, 10'000'000);
-  spec.params.repeats = 3;
-  spec.params.base = 2048 / static_cast<std::size_t>(spec.params.machine_scale);
+  harness::ExperimentSpec spec = fig.spec("rrg", 600'000, 10'000'000);
   spec.schedulers = {"CilkWS", "WS", "PWS", "SB", "SB-D"};
   spec.bandwidth_sockets = {4, 3, 2, 1};
-  spec.repetitions = opts.repetitions();
-  spec.seed = static_cast<std::uint64_t>(opts.seed);
-  spec.sb.sigma = opts.sigma;
-  spec.sb.mu = opts.mu;
-  spec.num_threads = static_cast<int>(opts.threads);
-  spec.verify = !opts.no_verify;
-  spec.verify_invariants = opts.verify;
-  spec.trace_path = opts.trace;
-  spec.metrics_path = opts.metrics_json;
-
-  const auto results = harness::RunExperiment(spec);
-  harness::BenchReport report("fig6_rrg");
-  report.add(spec, results);
-  if (!report.write()) std::fprintf(stderr, "failed to write %s\n",
-                                    report.default_path().c_str());
+  const auto results = fig.run("", spec);
   Table table = harness::MakeFigureTable(
       "Fig. 6 — RRG (" + std::to_string(spec.params.n) +
           " doubles), schedulers x bandwidth",
       results);
-  table.print(opts.csv);
+  table.print();
 
   double ws = 0, sb = 0, ws25 = 0, ws100 = 0;
   for (const auto& c : results) {
@@ -66,5 +44,5 @@ int main(int argc, char** argv) {
                 "(bandwidth-bound, paper Fig. 6 shape)\n",
                 ws25 / ws100);
   }
-  return 0;
+  return fig.write() ? 0 : 1;
 }

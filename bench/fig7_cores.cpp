@@ -6,68 +6,45 @@
 // constructively regardless of how many there are — while WS/PWS misses
 // grow steadily with cores per socket (the cache is effectively split
 // among them), roughly doubling from 4×1 to 4×8×2.
+#include <algorithm>
 #include <cstdio>
 
-#include "harness/bench_cli.h"
-#include "harness/bench_json.h"
-#include "harness/experiment.h"
+#include "harness/figure.h"
 
 int main(int argc, char** argv) {
   using namespace sbs;
-  harness::BenchOptions opts;
-  Cli cli("fig7_cores",
-          "Reproduce paper Fig. 7: L3 misses vs active cores per socket");
-  if (!harness::ParseBenchOptions(argc, argv, cli, &opts)) return 0;
+  harness::Figure fig(
+      "fig7_cores",
+      "Reproduce paper Fig. 7: L3 misses vs active cores per socket");
+  if (!fig.parse(argc, argv)) return 0;
 
   const char* suffixes[] = {"_4x1", "_4x2", "_4x4", "", "_ht"};
   const char* labels[] = {"4x1", "4x2", "4x4", "4x8", "4x8x2(HT)"};
-  const std::vector<std::string> schedulers = {"WS", "PWS", "SB", "SB-D"};
 
   Table table("Fig. 7 — L3 misses (millions) vs cores per socket");
   table.set_header(
       {"cores", "scheduler", "RRM misses", "RRG misses"});
-  harness::BenchReport report("fig7_cores");
-
   for (int m = 0; m < 5; ++m) {
     std::vector<harness::CellResult> rrm, rrg;
     for (const char* kernel : {"rrm", "rrg"}) {
-      harness::ExperimentSpec spec;
-      spec.kernel = kernel;
-      spec.machine = opts.machine_for(suffixes[m]);
-      spec.params.machine_scale =
-          harness::BenchOptions::ScaleOfPreset(spec.machine);
-      const std::size_t dflt =
-          kernel == std::string("rrm") ? 1'250'000 : 600'000;
-      spec.params.n = opts.problem_n(dflt, 10'000'000);
-      spec.params.base =
-          2048 / static_cast<std::size_t>(spec.params.machine_scale);
-      spec.schedulers = schedulers;
-      spec.repetitions = std::max(1, opts.repetitions() - 1);
-      spec.seed = static_cast<std::uint64_t>(opts.seed);
-      spec.sb.sigma = opts.sigma;
-      spec.sb.mu = opts.mu;
-      spec.verify = !opts.no_verify;
-      spec.verify_invariants = opts.verify;
-      const std::string group = std::string(kernel) + "_" + labels[m];
-      if (!opts.trace.empty())
-        spec.trace_path = harness::WithPathSuffix(opts.trace, group);
-      spec.metrics_path = opts.metrics_json;
-      spec.metrics_truncate = m == 0 && kernel == std::string("rrm");
-      auto results = harness::RunExperiment(spec);
-      report.add(spec, results, group);
-      (kernel == std::string("rrm") ? rrm : rrg) = std::move(results);
+      const bool is_rrm = kernel == std::string("rrm");
+      harness::ExperimentSpec spec = fig.spec(
+          kernel, is_rrm ? 1'250'000 : 600'000, 10'000'000, suffixes[m]);
+      // Every machine runs all of its threads.
+      spec.num_threads = -1;
+      spec.repetitions = std::max(1, fig.options().repetitions() - 1);
+      (is_rrm ? rrm : rrg) =
+          fig.run(std::string(kernel) + "_" + labels[m], spec);
     }
-    for (std::size_t s = 0; s < schedulers.size(); ++s) {
-      table.add_row({labels[m], schedulers[s],
+    for (std::size_t s = 0; s < rrm.size(); ++s) {
+      table.add_row({labels[m], rrm[s].scheduler,
                      fmt_millions(rrm[s].llc_misses, 2),
                      fmt_millions(rrg[s].llc_misses, 2)});
     }
   }
-  table.print(opts.csv);
-  if (!report.write()) std::fprintf(stderr, "failed to write %s\n",
-                                    report.default_path().c_str());
+  table.print();
   std::printf(
       "Expected shape (paper): WS/PWS misses grow with cores per socket; "
       "SB/SB-D stay flat.\n");
-  return 0;
+  return fig.write() ? 0 : 1;
 }

@@ -447,12 +447,8 @@ void write_bench_cells() {
   w.end_object();
 
   const char* path = "BENCH_micro_overheads.json";
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fprintf(f, "%s\n", w.str().c_str());
-    std::fclose(f);
-  } else {
+  if (!WriteJsonLine(path, w.str()))
     std::fprintf(stderr, "failed to write %s\n", path);
-  }
   std::printf(
       "recorder overhead: untraced %.4fs, traced %.4fs (%+.2f%%), "
       "%llu events (%.1fM events/s) -> %s\n",

@@ -255,12 +255,7 @@ bool WriteBenchJson(const std::string& path, const machine::Topology& topo,
   json.end_array();
   json.end_object();
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs(json.str().c_str(), f) >= 0 &&
-                  std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  return ok;
+  return WriteJsonLine(path, json.str());
 }
 
 /// --smoke: cheap invariants a short CI stream must satisfy.

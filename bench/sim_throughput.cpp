@@ -217,14 +217,11 @@ int main(int argc, char** argv) {
 
   const char* path = "BENCH_sim_throughput.json";
   if (!smoke) {
-    if (std::FILE* f = std::fopen(path, "w")) {
-      std::fprintf(f, "%s\n", w.str().c_str());
-      std::fclose(f);
-      std::printf("wrote %s\n", path);
-    } else {
+    if (!WriteJsonLine(path, w.str())) {
       std::fprintf(stderr, "failed to write %s\n", path);
       return 1;
     }
+    std::printf("wrote %s\n", path);
   }
   return 0;
 }

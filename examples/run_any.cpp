@@ -79,12 +79,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", topo.describe().c_str());
 
   kernels::KernelParams params;
-  params.machine_scale = [&] {
-    const auto pos = cfg.name.find("_s");
-    return pos != std::string::npos && isdigit(cfg.name[pos + 2])
-               ? std::atoi(cfg.name.c_str() + pos + 2)
-               : 1;
-  }();
+  params.machine_scale = machine::PresetScale(cfg.name);
   params.n = n > 0 ? static_cast<std::size_t>(n)
                    : (kernel_name == "matmul" ? 512 : 1'000'000);
   params.base = params.scaled(2048);

@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
 
   kernels::KernelParams params;
   params.n = n;
-  params.machine_scale =
-      machine_name.find("_s8") != std::string::npos ? 8 : 1;
+  params.machine_scale = machine::PresetScale(machine_name);
   auto kernel = kernels::MakeKernel("quicksort", params);
   kernel->prepare(/*seed=*/2026);
 

@@ -32,7 +32,6 @@ std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
   kernel->prepare(spec.seed);
 
   const std::size_t total_cells = sweep.size() * spec.schedulers.size();
-  bool first_metrics_line = spec.metrics_truncate;
 
   std::vector<CellResult> results;
   for (int sockets : sweep) {
@@ -104,9 +103,8 @@ std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
             SBS_CHECK_MSG(
                 trace::WriteMetricsJsonl(trace::Analyze(*engine.recorder()),
                                          spec.metrics_path, cell_label,
-                                         /*truncate=*/first_metrics_line, &ov),
+                                         /*truncate=*/false, &ov),
                 "failed to write --metrics-json output");
-            first_metrics_line = false;
           }
         }
         active.push_back(r.stats.avg_active_s());
@@ -120,7 +118,7 @@ std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
         cell.strands = r.stats.total_strands();
         cell.empty_wakeups = r.stats.total_empty_wakeups();
         cell.sched_stats = r.sched_stats;
-        if (spec.verify && rep == 0) {
+        if (rep == 0) {
           cell.verified = kernel->verify();
           SBS_CHECK_MSG(cell.verified, "kernel verification failed");
         }

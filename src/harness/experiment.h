@@ -30,7 +30,6 @@ struct ExperimentSpec {
   /// Space-bounded scheduler knobs.
   sched::SpaceBounded::Options sb;
   int num_threads = -1;  ///< -1: all hardware threads of the machine
-  bool verify = true;
   /// Wrap every scheduler in verify::VerifyingScheduler and abort (with the
   /// checker's report) on any invariant violation. Serializes the scheduler
   /// callbacks — a correctness mode, not a timing mode.
@@ -40,14 +39,10 @@ struct ExperimentSpec {
   /// and written to this path, with "<scheduler>_<sockets>bw" inserted
   /// before the extension when the matrix has more than one cell.
   std::string trace_path;
-  /// JSONL metrics output: one line per cell, appended in cell order (the
-  /// file is truncated at the start of the experiment when
-  /// `metrics_truncate` is set — multi-spec benches clear it after their
-  /// first RunExperiment call so every sweep point lands in one file).
+  /// JSONL metrics output: one line per cell, appended in cell order.
   std::string metrics_path;
-  bool metrics_truncate = true;
-  /// Prefix for the per-cell labels in the metrics JSONL — multi-spec
-  /// benches set it to the sweep-point name (e.g. "sigma0.9") so lines from
+  /// Prefix for the per-cell labels in the metrics JSONL and the traces —
+  /// Figure::run sets it to the group name (e.g. "sigma0.9") so cells from
   /// different RunExperiment calls stay distinguishable.
   std::string label_prefix;
 };
@@ -85,7 +80,8 @@ struct CellResult {
 
 /// Run the full matrix. Progress lines (one per cell) go to stderr when
 /// `progress` is true. Cells are ordered bandwidth-major, scheduler-minor
-/// (matching the paper's figure layout).
+/// (matching the paper's figure layout). The kernel's output is verified
+/// after each cell's first repetition; a failure aborts.
 std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
                                       bool progress = true);
 
@@ -95,8 +91,8 @@ Table MakeFigureTable(const std::string& title,
                       const std::vector<CellResult>& results);
 
 /// "out.json" + "SB_4bw" -> "out.SB_4bw.json" — insert a suffix before the
-/// extension. Multi-spec benches use it to keep sweep points from
-/// overwriting each other's trace files.
+/// extension. RunExperiment and Figure::run use it to keep cells and groups
+/// from overwriting each other's trace files.
 std::string WithPathSuffix(const std::string& path, const std::string& suffix);
 
 }  // namespace sbs::harness

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -177,6 +178,58 @@ MachineConfig MiniDeep() {
   return cfg;
 }
 
+/// A xeon7560 preset name, parsed by the suffix grammar
+/// xeon7560[_fig4][_s<scale>][_4x<cores>][_ht].
+struct XeonVariant {
+  int scale = 1;
+  int cores = 8;
+  bool ht = false;
+  bool fig4 = false;
+};
+
+/// Drops the decimal number at the front of `rest` and returns it; a
+/// missing or out-of-range number fails with the preset's name.
+int TakeNumber(std::string& rest, const std::string& name) {
+  int value = 0;
+  const auto [end, ec] =
+      std::from_chars(rest.data(), rest.data() + rest.size(), value);
+  SBS_CHECK_MSG(ec == std::errc(),
+                ("missing or out-of-range number in preset " + name).c_str());
+  rest.erase(0, static_cast<std::size_t>(end - rest.data()));
+  return value;
+}
+
+XeonVariant ParseXeon(const std::string& name) {
+  SBS_CHECK_MSG(name.rfind("xeon7560", 0) == 0,
+                ("unknown machine preset: " + name).c_str());
+  std::string rest = name.substr(std::string("xeon7560").size());
+  XeonVariant v;
+  while (!rest.empty()) {
+    SBS_CHECK_MSG(rest[0] == '_', ("unknown machine preset: " + name).c_str());
+    rest.erase(0, 1);
+    if (rest.rfind("fig4", 0) == 0) {
+      v.fig4 = true;
+      rest.erase(0, 4);
+    } else if (rest.rfind("ht", 0) == 0) {
+      v.ht = true;
+      rest.erase(0, 2);
+    } else if (rest.rfind("s", 0) == 0) {
+      rest.erase(0, 1);
+      v.scale = TakeNumber(rest, name);
+      SBS_CHECK_MSG(v.scale >= 1 && (v.scale & (v.scale - 1)) == 0,
+                    "machine scale must be a power of two");
+    } else if (rest.rfind("4x", 0) == 0) {
+      rest.erase(0, 2);
+      v.cores = TakeNumber(rest, name);
+      SBS_CHECK_MSG(v.cores >= 1 && v.cores <= 8,
+                    "cores per socket must be in 1..8");
+    } else {
+      SBS_CHECK_MSG(false, ("unknown machine preset: " + name).c_str());
+    }
+  }
+  return v;
+}
+
 }  // namespace
 
 MachineConfig Preset(const std::string& name) {
@@ -185,44 +238,18 @@ MachineConfig Preset(const std::string& name) {
     cfg = Mini();
   } else if (name == "mini_deep") {
     cfg = MiniDeep();
-  } else if (name.rfind("xeon7560", 0) == 0) {
-    // Suffix grammar: xeon7560[_fig4][_s<scale>][_4x<cores>][_ht]
-    std::string rest = name.substr(std::string("xeon7560").size());
-    int scale = 1, cores = 8;
-    bool ht = false, fig4 = false;
-    while (!rest.empty()) {
-      SBS_CHECK_MSG(rest[0] == '_',
-                    ("unknown machine preset: " + name).c_str());
-      rest = rest.substr(1);
-      if (rest.rfind("fig4", 0) == 0) {
-        fig4 = true;
-        rest = rest.substr(4);
-      } else if (rest.rfind("ht", 0) == 0) {
-        ht = true;
-        rest = rest.substr(2);
-      } else if (rest.rfind("s", 0) == 0) {
-        std::size_t used = 0;
-        scale = std::stoi(rest.substr(1), &used);
-        SBS_CHECK_MSG(scale >= 1 && (scale & (scale - 1)) == 0,
-                      "machine scale must be a power of two");
-        rest = rest.substr(1 + used);
-      } else if (rest.rfind("4x", 0) == 0) {
-        std::size_t used = 0;
-        cores = std::stoi(rest.substr(2), &used);
-        SBS_CHECK_MSG(cores >= 1 && cores <= 8,
-                      "cores per socket must be in 1..8");
-        rest = rest.substr(2 + used);
-      } else {
-        SBS_CHECK_MSG(false, ("unknown machine preset: " + name).c_str());
-      }
-    }
-    cfg = Xeon7560(name, scale, ht, cores, fig4);
   } else {
-    SBS_CHECK_MSG(false, ("unknown machine preset: " + name).c_str());
+    const XeonVariant v = ParseXeon(name);
+    cfg = Xeon7560(name, v.scale, v.ht, v.cores, v.fig4);
   }
   DefaultHitCycles(cfg);
   cfg.validate();
   return cfg;
+}
+
+int PresetScale(const std::string& name) {
+  if (name == "mini" || name == "mini_deep" || name == "custom") return 1;
+  return ParseXeon(name).scale;
 }
 
 std::vector<std::string> PresetNames() {

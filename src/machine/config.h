@@ -72,6 +72,10 @@ struct MachineConfig {
 /// - "mini_deep":    4-cache-level toy hierarchy, for tests.
 MachineConfig Preset(const std::string& name);
 std::vector<std::string> PresetNames();
+/// The cache-size divisor of a preset name by Preset()'s grammar
+/// ("xeon7560_s8_ht" -> 8); 1 for "mini", "mini_deep" and file configs
+/// ("custom"). Fails like Preset() on a name it does not know.
+int PresetScale(const std::string& name);
 
 /// Parse the paper's Fig. 4 C-like config syntax:
 ///   int num_procs=32;

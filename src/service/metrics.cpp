@@ -1,6 +1,5 @@
 #include "service/metrics.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "util/assert.h"
@@ -149,12 +148,7 @@ bool WriteServiceMetricsJsonl(const ServiceMetrics& metrics, double span_s,
   json.end_array();
   json.end_object();
 
-  std::FILE* f = std::fopen(path.c_str(), truncate ? "w" : "a");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs(json.str().c_str(), f) >= 0 &&
-                  std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  return ok;
+  return WriteJsonLine(path, json.str(), /*append=*/!truncate);
 }
 
 }  // namespace sbs::service

@@ -1,7 +1,6 @@
 #include "trace/analysis.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/json.h"
 
@@ -202,11 +201,7 @@ bool WriteMetricsJsonl(const TraceAnalysis& analysis, const std::string& path,
   }
   json.end_array().end_object();
 
-  std::FILE* f = std::fopen(path.c_str(), truncate ? "w" : "a");
-  if (f == nullptr) return false;
-  std::fputs(json.str().c_str(), f);
-  std::fputc('\n', f);
-  return std::fclose(f) == 0;
+  return WriteJsonLine(path, json.str(), /*append=*/!truncate);
 }
 
 }  // namespace sbs::trace

@@ -81,15 +81,14 @@ bool ReadJsonlTrace(const std::string& path, JsonlTrace* out,
     if (!doc.is_object()) return fail(error, where + ": not a JSON object");
 
     if (!have_header) {
-      // First non-empty line must be the header. Schema 1 wrote it without
-      // a "type" tag; accept any object that is not an event line.
-      if (doc["type"].as_string() == "event") {
-        return fail(error, where + ": missing trace header");
+      // The first non-empty line must be the header, in the writer's schema.
+      const std::int64_t schema = doc["schema"].as_i64(0);
+      if (doc.has("schema") && schema != kJsonlTraceSchema) {
+        return fail(error,
+                    where + ": unsupported schema " + std::to_string(schema));
       }
-      out->schema = static_cast<int>(doc["schema"].as_i64(1));
-      if (out->schema < 1 || out->schema > kJsonlTraceSchema) {
-        return fail(error, where + ": unsupported schema " +
-                               std::to_string(out->schema));
+      if (!doc.has("schema") || doc["type"].as_string() != "header") {
+        return fail(error, where + ": missing trace header");
       }
       out->engine = doc["engine"].as_string();
       out->scheduler = doc["scheduler"].as_string();
@@ -106,7 +105,7 @@ bool ReadJsonlTrace(const std::string& path, JsonlTrace* out,
       continue;
     }
 
-    if (doc.has("type") && doc["type"].as_string() != "event") {
+    if (doc["type"].as_string() != "event") {
       return fail(error, where + ": unexpected line type '" +
                              doc["type"].as_string() + "'");
     }
@@ -126,7 +125,7 @@ bool ReadJsonlTrace(const std::string& path, JsonlTrace* out,
     record.event.dur = doc["dur"].as_u64(0);
     record.event.a = doc["a"].as_u64(0);
     record.event.b = doc["b"].as_u64(0);
-    record.event.c = doc["c"].as_u64(0);  // absent in schema 1 -> 0
+    record.event.c = doc["c"].as_u64(0);
     out->records.push_back(record);
   }
   if (!have_header) return fail(error, path + ": empty trace file");

@@ -8,14 +8,6 @@
 //
 //   {"schema":2,"type":"header","engine":"sim","scheduler":"SB", ...}
 //   {"type":"event","w":0,"k":"anchor","ts":123,"dur":65536,"a":2,"b":5,"c":0}
-//
-// Schema history:
-//   1  events carried ts/dur/a/b only
-//   2  adds the "c" payload slot (anchor/release ceiling depth) and the
-//      header's sigma/mu/config_text fields
-// The reader accepts both: schema-1 events default c to 0 and the header
-// extras to "unknown", so old traces still replay (with the schedule-level
-// checks that need the config skipped by the caller).
 #pragma once
 
 #include <string>
@@ -26,7 +18,7 @@
 
 namespace sbs::trace {
 
-/// Current writer schema version.
+/// The schema version the writer emits and the reader accepts.
 inline constexpr int kJsonlTraceSchema = 2;
 
 /// Scheduler parameters embedded in the header for offline re-verification.
@@ -46,7 +38,6 @@ bool WriteJsonlTrace(const Recorder& recorder, const std::string& path,
 
 /// A parsed JSONL trace: header fields plus events in file order.
 struct JsonlTrace {
-  int schema = 0;
   std::string engine;
   std::string scheduler;
   std::string machine;
@@ -64,7 +55,7 @@ struct JsonlTrace {
   std::vector<Record> records;
 };
 
-/// Parse a JSONL trace file (schema 1 or 2). Returns false with a brief
+/// Parse a JSONL trace file (schema 2 only). Returns false with a brief
 /// message in `error` (if non-null) on the first malformed line; a line
 /// with an unknown event kind also fails — the checker must not silently
 /// skip evidence.

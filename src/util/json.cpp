@@ -129,6 +129,15 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
+bool WriteJsonLine(const std::string& path, const std::string& json,
+                   bool append) {
+  std::FILE* f = std::fopen(path.c_str(), append ? "a" : "w");
+  if (f == nullptr) return false;
+  const bool ok =
+      std::fputs(json.c_str(), f) >= 0 && std::fputc('\n', f) != EOF;
+  return std::fclose(f) == 0 && ok;
+}
+
 // --- parser (recursive descent, builds the DOM) ---
 
 namespace {

@@ -50,6 +50,12 @@ class JsonWriter {
 
 std::string JsonEscape(const std::string& text);
 
+/// Writes `json` and a newline to `path`, appended to the file when `append`
+/// is set and replacing it otherwise. Returns false if opening, writing or
+/// closing the file fails.
+bool WriteJsonLine(const std::string& path, const std::string& json,
+                   bool append = false);
+
 /// Parsed JSON value. Accessors are total: a type mismatch or missing key
 /// returns the given default (or a shared null value), never throws — the
 /// trace checker reports malformed input as a verification finding, not a
@@ -61,7 +67,6 @@ class JsonValue {
   JsonValue() = default;
 
   Type type() const { return type_; }
-  bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }

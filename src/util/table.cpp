@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -57,38 +56,7 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      // Quote cells containing commas or quotes.
-      if (row[c].find_first_of(",\"\n") != std::string::npos) {
-        out << '"';
-        for (char ch : row[c]) {
-          if (ch == '"') out << '"';
-          out << ch;
-        }
-        out << '"';
-      } else {
-        out << row[c];
-      }
-    }
-    out << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out.str();
-}
-
-void Table::print(const std::string& csv_path) const {
-  std::cout << to_string() << std::endl;
-  if (!csv_path.empty()) {
-    std::ofstream f(csv_path);
-    SBS_CHECK_MSG(f.good(), "failed to open CSV output file");
-    f << to_csv();
-  }
-}
+void Table::print() const { std::cout << to_string() << std::endl; }
 
 std::string fmt_double(double v, int precision) {
   char buf[64];

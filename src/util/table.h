@@ -1,8 +1,9 @@
-// ASCII table and CSV reporters for experiment output.
+// ASCII table reporter for experiment output.
 //
 // Every bench binary prints a paper-style table (rows = scheduler /
-// configuration, columns = metrics) and can optionally mirror it to CSV for
-// plotting. Cells are strings; numeric helpers format with sensible units.
+// configuration, columns = metrics); the figure benches' BENCH_<name>.json
+// holds the same cells for plotting. Cells are strings; numeric helpers
+// format with sensible units.
 #pragma once
 
 #include <string>
@@ -19,11 +20,9 @@ class Table {
 
   /// Render as an aligned ASCII table.
   std::string to_string() const;
-  /// Render as CSV (header + rows).
-  std::string to_csv() const;
 
-  /// Print to stdout; if csv_path is nonempty, also write the CSV file.
-  void print(const std::string& csv_path = "") const;
+  /// Print to stdout.
+  void print() const;
 
   const std::string& title() const { return title_; }
   std::size_t num_rows() const { return rows_.size(); }

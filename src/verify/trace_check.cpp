@@ -59,7 +59,7 @@ struct Checker {
       return -1;
     }
     const int ceiling = static_cast<int>(e.c);
-    if (tr.schema >= 2 && ceiling >= depth) {
+    if (ceiling >= depth) {
       violation(i, std::string(what) + " skip-level ceiling " +
                        std::to_string(ceiling) +
                        " is not strictly above the anchor depth " +
@@ -120,8 +120,8 @@ struct Checker {
     // Header / config plausibility first: everything else needs a topology.
     if (tr.params.config_text.empty()) {
       global_violation(
-          "trace header carries no machine config (schema 1 trace?) — "
-          "schedule-level checks need a schema 2 trace");
+          "trace header carries no machine config — schedule-level "
+          "checks need one");
       return;
     }
     try {
@@ -208,12 +208,10 @@ struct Checker {
   void apply_path(const trace::Event& e, std::vector<std::int64_t>& occ,
                   int sign) {
     // Walk the charge path: from the anchor node up to, excluding, the
-    // ceiling depth (schema 1 traces carry no ceiling; treat the anchor
-    // node alone as charged, which keeps the balance checks valid).
+    // ceiling depth.
     const int node = static_cast<int>(e.b);
     if (node < 0 || node >= topo->num_nodes()) return;
-    const int ceiling =
-        tr.schema >= 2 ? static_cast<int>(e.c) : topo->node(node).depth - 1;
+    const int ceiling = static_cast<int>(e.c);
     for (int id = node; id >= 0 && topo->node(id).depth > ceiling;
          id = topo->node(id).parent) {
       occ[static_cast<std::size_t>(id)] +=
@@ -244,8 +242,7 @@ struct Checker {
       apply_path(r.event, occ, is_anchor ? +1 : -1);
       const int node = static_cast<int>(r.event.b);
       if (node < 0 || node >= topo->num_nodes()) continue;
-      const int ceiling = tr.schema >= 2 ? static_cast<int>(r.event.c)
-                                         : topo->node(node).depth - 1;
+      const int ceiling = static_cast<int>(r.event.c);
       for (int id = node; id >= 0 && topo->node(id).depth > ceiling;
            id = topo->node(id).parent) {
         const std::size_t n = static_cast<std::size_t>(id);

@@ -6,7 +6,7 @@
 // fork/join counts).
 //
 // Checked properties, in increasing strictness as the trace allows:
-//   always (any schema, drops ok)
+//   always (drops ok)
 //     - every anchor names an existing cache node whose tree depth matches
 //       the event's depth payload, on the admitting worker's root-to-leaf
 //       path (a worker may only admit into its own cache subtree);

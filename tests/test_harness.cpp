@@ -1,9 +1,16 @@
 // Tests for the experiment harness: matrix shape, verification wiring,
-// bandwidth sweeps, and figure-table rendering.
+// bandwidth sweeps, figure-table rendering, and the figure driver.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include "harness/bench_cli.h"
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "harness/experiment.h"
+#include "harness/figure.h"
+#include "util/json.h"
 
 namespace sbs::harness {
 namespace {
@@ -65,14 +72,6 @@ TEST(Harness, FigureTableHasRowPerCell) {
   EXPECT_NE(text.find("100% b/w"), std::string::npos);
 }
 
-TEST(BenchCli, ScaleOfPreset) {
-  EXPECT_EQ(BenchOptions::ScaleOfPreset("xeon7560"), 1);
-  EXPECT_EQ(BenchOptions::ScaleOfPreset("xeon7560_s8"), 8);
-  EXPECT_EQ(BenchOptions::ScaleOfPreset("xeon7560_s8_ht"), 8);
-  EXPECT_EQ(BenchOptions::ScaleOfPreset("xeon7560_s16_4x2"), 16);
-  EXPECT_EQ(BenchOptions::ScaleOfPreset("mini"), 1);
-}
-
 TEST(BenchCli, DefaultsAndOverrides) {
   BenchOptions opts;
   EXPECT_EQ(opts.repetitions(), 2);
@@ -89,6 +88,65 @@ TEST(BenchCli, DefaultsAndOverrides) {
   EXPECT_EQ(opts.problem_n(100, 1000), 7u);
   EXPECT_EQ(opts.repetitions(), 4);
   EXPECT_EQ(opts.machine_for(), "mini");
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Figure, GroupsShareOneMetricsFileAndOneBenchFile) {
+  // The BENCH file lands in the current directory: run in a fresh one.
+  std::string dir = ::testing::TempDir() + "figure_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  char old_cwd[4096];
+  ASSERT_NE(::getcwd(old_cwd, sizeof old_cwd), nullptr);
+  ASSERT_EQ(::chdir(dir.c_str()), 0);
+  std::ofstream("m.jsonl") << "{\"label\":\"stale\"}\n";
+
+  Figure fig("figure_test", "two groups");
+  std::vector<std::string> args = {"figure_test", "--machine=mini",
+                                   "--n=20000", "--trace=t.json",
+                                   "--metrics-json=m.jsonl"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  ASSERT_TRUE(fig.parse(static_cast<int>(argv.size()), argv.data()));
+  for (const char* group : {"first", "second"}) {
+    ExperimentSpec spec = fig.spec("rrm", 1'000'000, 10'000'000);
+    spec.schedulers = {"WS", "SB"};
+    EXPECT_EQ(fig.run(group, spec).size(), 2u);
+  }
+  ASSERT_TRUE(fig.write());
+
+  const std::vector<std::string> lines = ReadLines("m.jsonl");
+  ASSERT_EQ(lines.size(), 4u);  // the stale line is gone
+  const char* labels[] = {"first/rrm@mini/WS/2bw", "first/rrm@mini/SB/2bw",
+                          "second/rrm@mini/WS/2bw", "second/rrm@mini/SB/2bw"};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    JsonValue line;
+    ASSERT_TRUE(JsonParse(lines[i], &line)) << lines[i];
+    EXPECT_EQ(line["label"].as_string(), labels[i]);
+  }
+  for (const char* trace : {"t.first.WS_2bw.json", "t.first.SB_2bw.json",
+                            "t.second.WS_2bw.json", "t.second.SB_2bw.json"}) {
+    EXPECT_TRUE(std::ifstream(trace).good()) << trace;
+  }
+
+  const std::vector<std::string> bench = ReadLines("BENCH_figure_test.json");
+  ASSERT_EQ(bench.size(), 1u);
+  JsonValue doc;
+  ASSERT_TRUE(JsonParse(bench[0], &doc));
+  EXPECT_EQ(doc["bench"].as_string(), "figure_test");
+  const std::vector<JsonValue>& groups = doc["groups"].items();
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0]["label"].as_string(), "first");
+  EXPECT_EQ(groups[1]["label"].as_string(), "second");
+  EXPECT_EQ(groups[1]["n"].as_u64(), 20000u);
+  EXPECT_EQ(groups[1]["cells"].size(), 2u);
+  ASSERT_EQ(::chdir(old_cwd), 0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -38,6 +38,16 @@ TEST(Config, PartialSocketPresets) {
   }
 }
 
+TEST(Config, PresetScale) {
+  EXPECT_EQ(PresetScale("xeon7560"), 1);
+  EXPECT_EQ(PresetScale("xeon7560_s8"), 8);
+  EXPECT_EQ(PresetScale("xeon7560_s8_ht"), 8);
+  EXPECT_EQ(PresetScale("xeon7560_s16_4x2"), 16);
+  EXPECT_EQ(PresetScale("mini"), 1);
+  EXPECT_EQ(PresetScale("mini_deep"), 1);
+  EXPECT_EQ(PresetScale("custom"), 1);  // a file config's name
+}
+
 TEST(Config, PresetNamesAllConstruct) {
   for (const auto& name : PresetNames()) {
     EXPECT_NO_FATAL_FAILURE({ Preset(name).validate(); }) << name;
@@ -163,6 +173,27 @@ TEST(ConfigDeath, RejectsDeepNesting) {
                           "int dram_latency = " + std::string(200000, '(') +
                           "1" + std::string(200000, ')') + ";\n";
   EXPECT_DEATH({ ParseConfig(bad); }, "config: expression nested too deeply");
+}
+
+// Hostile preset names fail with a message, not an uncaught exception.
+TEST(ConfigDeath, RejectsHugePresetScale) {
+  EXPECT_DEATH({ Preset("xeon7560_s99999999999"); },
+               "missing or out-of-range number in preset");
+}
+
+TEST(ConfigDeath, RejectsPresetScaleWithoutDigits) {
+  EXPECT_DEATH({ Preset("xeon7560_s"); },
+               "missing or out-of-range number in preset");
+}
+
+TEST(ConfigDeath, RejectsPresetCoresWithoutDigits) {
+  EXPECT_DEATH({ Preset("xeon7560_4x"); },
+               "missing or out-of-range number in preset");
+}
+
+TEST(ConfigDeath, RejectsHugePresetCores) {
+  EXPECT_DEATH({ Preset("xeon7560_4x99999999999"); },
+               "missing or out-of-range number in preset");
 }
 
 TEST(ConfigDeath, RejectsGrowingCaches) {

@@ -18,6 +18,7 @@
 #include "util/cpu_relax.h"
 #include "service/admission.h"
 #include "service/arrivals.h"
+#include "service/metrics.h"
 #include "service/runtime.h"
 #include "service/workload.h"
 
@@ -383,6 +384,13 @@ TEST(ServiceArrivals, PoissonMeanRateIsRight) {
   for (int i = 0; i < 5000; ++i) last = p->next();
   // 5000 arrivals at 500/s ≈ 10s of stream, within a few percent.
   EXPECT_NEAR(last, 10.0, 0.8);
+}
+
+TEST(ServiceMetrics, JsonlWriteReportsAFailedFlush) {
+  // /dev/full opens, and the write fails when fclose flushes it.
+  const service::ServiceMetrics metrics(1);
+  EXPECT_FALSE(service::WriteServiceMetricsJsonl(metrics, 1.0, "/dev/full",
+                                                 "full", /*truncate=*/true));
 }
 
 }  // namespace

@@ -280,5 +280,11 @@ TEST(Json, WriterAndValidatorRoundTrip) {
   EXPECT_TRUE(parses("[1, 2.5e-3, \"\\u00e9\", null, false]"));
 }
 
+TEST(Json, WriteJsonLineReportsAFailedFlush) {
+  // /dev/full opens, and the write fails when fclose flushes it.
+  EXPECT_FALSE(WriteJsonLine("/dev/full", "{}"));
+  EXPECT_FALSE(WriteJsonLine("/dev/full", "{}", /*append=*/true));
+}
+
 }  // namespace
 }  // namespace sbs::trace

@@ -1,4 +1,4 @@
-// Tests for the JSONL trace format (schema 2 + schema 1 compat) and the
+// Tests for the JSONL trace format (schema 2) and the
 // offline replay checker (verify::CheckTrace / tools/trace_check).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -97,7 +97,6 @@ TEST(TraceCheck, RoundTripPreservesHeaderAndEvents) {
   const bool read = trace::ReadJsonlTrace(path, &parsed, &error);
   std::remove(path.c_str());
   ASSERT_TRUE(read) << error;
-  EXPECT_EQ(parsed.schema, trace::kJsonlTraceSchema);
   EXPECT_EQ(parsed.scheduler, "SB");
   EXPECT_EQ(parsed.engine, "sim");
   EXPECT_TRUE(parsed.virtual_time);
@@ -114,7 +113,6 @@ struct TraceBuilder {
   JsonlTrace tr;
 
   TraceBuilder() {
-    tr.schema = trace::kJsonlTraceSchema;
     tr.engine = "sim";
     tr.scheduler = "SB";
     tr.virtual_time = true;
@@ -271,9 +269,7 @@ TEST(TraceCheck, SerializedAdmissionPassesReplay) {
   EXPECT_TRUE(result.ok()) << result.report();
 }
 
-// --- schema 1 backward compatibility ---
-
-TEST(TraceCheck, Schema1TraceStillParses) {
+TEST(TraceCheck, Schema1TraceIsRejected) {
   const std::string path = temp_path("schema1.jsonl");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
@@ -283,23 +279,22 @@ TEST(TraceCheck, Schema1TraceStillParses) {
                "\"dropped_events\":0}\n");
   std::fprintf(f, "{\"type\":\"event\",\"w\":0,\"k\":\"fork\",\"ts\":5,"
                   "\"dur\":0,\"a\":2,\"b\":0}\n");
-  std::fprintf(f, "{\"type\":\"event\",\"w\":1,\"k\":\"join\",\"ts\":9,"
-                  "\"dur\":0,\"a\":0,\"b\":0}\n");
   std::fclose(f);
 
   JsonlTrace parsed;
   std::string error;
   const bool read = trace::ReadJsonlTrace(path, &parsed, &error);
   std::remove(path.c_str());
-  ASSERT_TRUE(read) << error;
-  EXPECT_EQ(parsed.schema, 1);
-  EXPECT_TRUE(parsed.params.config_text.empty());
-  ASSERT_EQ(parsed.records.size(), 2u);
-  EXPECT_EQ(parsed.records[0].event.c, 0u);  // missing "c" defaults
+  EXPECT_FALSE(read);
+  EXPECT_NE(error.find("unsupported schema 1"), std::string::npos) << error;
+}
 
-  // The replay checker refuses schedule-level checks without a config, but
-  // says so as a violation instead of crashing.
-  const TraceCheckResult result = CheckTrace(parsed);
+TEST(TraceCheck, MissingConfigIsAViolation) {
+  // Schedule-level checks need the header's machine config; without one the
+  // checker says so instead of guessing.
+  TraceBuilder b;
+  b.tr.params.config_text.clear();
+  const TraceCheckResult result = CheckTrace(b.tr);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.report().find("no machine config"), std::string::npos)
       << result.report();

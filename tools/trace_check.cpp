@@ -3,7 +3,7 @@
 //   ./run_any --kernel=quicksort --sched=SB --trace-jsonl=run.trace.jsonl
 //   ./trace_check run.trace.jsonl [more.trace.jsonl ...]
 //
-// Parses each trace (schema 1 or 2), rebuilds the machine from the embedded
+// Parses each trace, rebuilds the machine from the embedded
 // config, and replays the scheduler-level invariants (see
 // src/verify/trace_check.h for the exact property list). Exit status 0 iff
 // every trace passes.
